@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .geo import EARTH_RADIUS_KM, GeoPoint
+from .geo import EARTH_RADIUS_KM, GeoPoint, local_polar
 from .quantizer import CodebookLayer, TrainConfig, enhanced_dim
 from .sid import Sid, SidIndex
 
@@ -38,6 +38,7 @@ __all__ = [
     "CodebookArtifact",
     "CodebookFormatError",
     "CorpusFormatError",
+    "FrameTable",
     "PoiRecord",
     "SynthConfig",
     "export_geojson",
@@ -83,6 +84,54 @@ class ClusterGeo:
     def __post_init__(self) -> None:
         if not self.d_scale_km > 0:
             raise ValueError(f"d_scale_km must be positive, got {self.d_scale_km}")
+
+
+class FrameTable:
+    """Columnar form of a cell -> ClusterGeo map for batch lookups.
+
+    ``depth`` 1 keys cells by j1 (layer-2 frames), ``depth`` 2 by (j1, j2)
+    (layer-3 frames). Cells are held as sorted packed keys (j1, or
+    j1*K2 + j2) beside centre lat/lon and distance-scale columns, so the
+    table grows with the cells seen in training, not with K1*K2.
+    """
+
+    def __init__(self, frames: Mapping, layer_sizes: tuple[int, ...], depth: int):
+        cell_keys, refs = list(frames), list(frames.values())
+        keys = np.array(cell_keys, dtype=np.int64).reshape(len(cell_keys), depth)
+        bad = np.any((keys < 0) | (keys >= np.asarray(layer_sizes[:depth])), axis=1)
+        if np.any(bad):
+            key = cell_keys[int(np.argmax(bad))]
+            raise ValueError(f"geo frame cell {key} outside layer sizes {tuple(layer_sizes)}")
+        self._k2 = layer_sizes[1]
+        cells = self._pack(keys)
+        order = np.argsort(cells)
+        self.cells = cells[order]
+        self.lat = np.array([refs[i].center.lat for i in order], dtype=float)
+        self.lon = np.array([refs[i].center.lon for i in order], dtype=float)
+        self.scale = np.array([refs[i].d_scale_km for i in order], dtype=float)
+
+    def _pack(self, codes: np.ndarray) -> np.ndarray:
+        return codes[:, 0] if codes.shape[1] == 1 else codes[:, 0] * self._k2 + codes[:, 1]
+
+    def polar(
+        self, codes: np.ndarray, lat: np.ndarray, lon: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(d_km, sigma_rad, d_scale_km) of each row in the frame of its cell.
+
+        ``codes`` is (N, depth). Rows whose cell has no frame get the
+        neutral frame: zero distance and angle, scale 1.
+        """
+        n = codes.shape[0]
+        d_km, sigma, scale = np.zeros(n), np.zeros(n), np.ones(n)
+        if self.cells.size == 0:
+            return d_km, sigma, scale
+        cells = self._pack(codes)
+        pos = np.minimum(np.searchsorted(self.cells, cells), self.cells.size - 1)
+        rows = np.nonzero(self.cells[pos] == cells)[0]
+        cell = pos[rows]
+        d_km[rows], sigma[rows] = local_polar(self.lat[cell], self.lon[cell], lat[rows], lon[rows])
+        scale[rows] = self.scale[cell]
+        return d_km, sigma, scale
 
 
 def _digest64(data: bytes) -> bytes:
@@ -196,6 +245,8 @@ class CodebookArtifact:
     feeds the second layer); ``geo_third`` maps (j1, j2) -> ClusterGeo
     (present when it feeds the third). Centroids are snapped to float32 on
     construction: the storage encoding, so round-trips are bit-exact.
+    ``second_frames``/``third_frames`` are :class:`FrameTable` views of the
+    two maps for replay, built once here; treat the maps as read-only.
     """
 
     format_version = _FORMAT_VERSION
@@ -222,6 +273,8 @@ class CodebookArtifact:
         self.layers = snapped
         self.geo_second = dict(sorted(geo_second.items()))
         self.geo_third = dict(sorted(geo_third.items()))
+        self.second_frames = FrameTable(self.geo_second, config.layer_sizes, 1)
+        self.third_frames = FrameTable(self.geo_third, config.layer_sizes, 2)
         self.sid_index = sid_index
 
     @staticmethod

@@ -12,12 +12,17 @@ externally supplied prediction list.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .geo import EarthModel, GeoPoint, geo_centroid, haversine_km
-from .sid import Sid
+import numpy as np
+
+from .geo import EarthModel, GeoPoint, group_centroids, local_polar
+from .sid import Sid, group_codes
+
+# Not called here; kept bound because perfbench/tracer.py wraps these module
+# attributes by name.
+from .geo import geo_centroid, haversine_km  # noqa: F401
 
 __all__ = [
     "QuantReport",
@@ -29,6 +34,7 @@ __all__ = [
     "icr",
     "ndcg_at_n",
     "nearest_rank",
+    "quant_report",
 ]
 
 
@@ -86,35 +92,72 @@ class RankingCase:
         return len(set(self.predicted)) != len(self.predicted)
 
 
-def icr(assignments: Mapping[str, Sid]) -> float:
-    """Fraction of POIs whose SID triple is shared with no other POI."""
+def _code_array(assignments: Mapping[str, Sid], what: str) -> tuple[list[str], np.ndarray]:
+    """POI ids in sorted order and their (N, 3) triples in the same order."""
     if not assignments:
-        raise ValueError("icr of an empty assignment set")
-    counts = Counter(sid.key for sid in assignments.values())
-    unique = sum(1 for sid in assignments.values() if counts[sid.key] == 1)
-    return unique / len(assignments)
+        raise ValueError(f"{what} of an empty assignment set")
+    ids = sorted(assignments)
+    codes = np.array([assignments[pid].key for pid in ids], dtype=np.int64)
+    return ids, codes
 
 
-def cur(assignments: Mapping[str, Sid], capacities: tuple[int, int, int]) -> float:
-    """Distinct observed triples over the total triple capacity."""
-    if not assignments:
-        raise ValueError("cur of an empty assignment set")
+def _triples(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group id of each row (distinct triples in ascending order) and the
+    size of each group."""
+    _, groups = group_codes(codes)
+    return groups, np.bincount(groups)
+
+
+def _icr(counts: np.ndarray) -> float:
+    return int(np.count_nonzero(counts == 1)) / int(counts.sum())
+
+
+def _cur(counts: np.ndarray, capacities: tuple[int, int, int]) -> float:
     total = 1
     for cap in capacities:
         if cap <= 0:
             raise ValueError(f"layer capacities must be positive, got {capacities}")
         total *= cap
-    distinct = len({sid.key for sid in assignments.values()})
-    return distinct / total
+    return counts.size / total
+
+
+def _dispersion(
+    groups: np.ndarray, lat: np.ndarray, lon: np.ndarray, earth: EarthModel
+) -> tuple[float, float, float]:
+    center_lat, center_lon = group_centroids(groups, lat, lon)
+    dists, _ = local_polar(center_lat[groups], center_lon[groups], lat, lon, earth)
+    dists.sort()
+    return float(dists.mean()), float(nearest_rank(dists, 0.90)), float(nearest_rank(dists, 0.95))
+
+
+def icr(assignments: Mapping[str, Sid]) -> float:
+    """Fraction of POIs whose SID triple is shared with no other POI."""
+    _, codes = _code_array(assignments, "icr")
+    return _icr(_triples(codes)[1])
+
+
+def cur(assignments: Mapping[str, Sid], capacities: tuple[int, int, int]) -> float:
+    """Distinct observed triples over the total triple capacity."""
+    _, codes = _code_array(assignments, "cur")
+    return _cur(_triples(codes)[1], capacities)
 
 
 def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile: the ceil(q*N)-th smallest value (1-based)."""
-    if not sorted_values:
+    if len(sorted_values) == 0:
         raise ValueError("percentile of an empty sequence")
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must be in (0, 1], got {q}")
     return sorted_values[math.ceil(q * len(sorted_values)) - 1]
+
+
+def _locations(ids: list[str], locations: Mapping[str, GeoPoint]) -> tuple[np.ndarray, np.ndarray]:
+    missing = [pid for pid in ids if pid not in locations]
+    if missing:
+        raise ValueError(f"missing locations for POIs: {missing[:5]}")
+    lat = np.array([locations[pid].lat for pid in ids], dtype=float)
+    lon = np.array([locations[pid].lon for pid in ids], dtype=float)
+    return lat, lon
 
 
 def geo_dispersion(
@@ -125,24 +168,37 @@ def geo_dispersion(
     """(avg, p90, p95) distance in km from POIs to their SID group centroid.
 
     POIs are grouped by the bare triple; each group's reference point is
-    the geographic centroid of its members. The average is over all POIs,
-    and the percentiles are nearest-rank over the pooled distance list.
+    the geographic centroid of its members (summed in POI-id order). The
+    average is over all POIs, and the percentiles are nearest-rank over
+    the pooled distance list.
     """
-    if not assignments:
-        raise ValueError("geo_dispersion of an empty assignment set")
-    missing = [pid for pid in assignments if pid not in locations]
-    if missing:
-        raise ValueError(f"missing locations for POIs: {missing[:5]}")
-    groups: dict[tuple[int, int, int], list[str]] = {}
-    for poi_id in sorted(assignments):
-        groups.setdefault(assignments[poi_id].key, []).append(poi_id)
-    dists: list[float] = []
-    for members in groups.values():
-        center = geo_centroid([locations[pid] for pid in members])
-        dists.extend(haversine_km(center, locations[pid], earth) for pid in members)
-    dists.sort()
-    avg = sum(dists) / len(dists)
-    return avg, nearest_rank(dists, 0.90), nearest_rank(dists, 0.95)
+    ids, codes = _code_array(assignments, "geo_dispersion")
+    lat, lon = _locations(ids, locations)
+    return _dispersion(_triples(codes)[0], lat, lon, earth)
+
+
+def quant_report(
+    codes: np.ndarray,
+    lat: np.ndarray,
+    lon: np.ndarray,
+    capacities: tuple[int, int, int],
+    earth: EarthModel = EarthModel(),
+) -> QuantReport:
+    """The full metrics row for an (N, 3) code array with the POIs' degree
+    coordinates in the same row order."""
+    if codes.shape[0] == 0:
+        raise ValueError("quant_report of an empty assignment set")
+    groups, counts = _triples(codes)
+    avg, p90, p95 = _dispersion(groups, lat, lon, earth)
+    return QuantReport(
+        cur=_cur(counts, capacities),
+        icr=_icr(counts),
+        avg_dist_km=avg,
+        p90_dist_km=p90,
+        p95_dist_km=p95,
+        group_count=int(counts.size),
+        poi_count=int(codes.shape[0]),
+    )
 
 
 def build_quant_report(
@@ -152,16 +208,9 @@ def build_quant_report(
     earth: EarthModel = EarthModel(),
 ) -> QuantReport:
     """Assemble the full metrics row for one assignment set."""
-    avg, p90, p95 = geo_dispersion(assignments, locations, earth)
-    return QuantReport(
-        cur=cur(assignments, capacities),
-        icr=icr(assignments),
-        avg_dist_km=avg,
-        p90_dist_km=p90,
-        p95_dist_km=p95,
-        group_count=len({sid.key for sid in assignments.values()}),
-        poi_count=len(assignments),
-    )
+    ids, codes = _code_array(assignments, "build_quant_report")
+    lat, lon = _locations(ids, locations)
+    return quant_report(codes, lat, lon, capacities, earth)
 
 
 def hit_at_n(case: RankingCase, n: int) -> int:

@@ -21,13 +21,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .data_io import ClusterGeo, CodebookArtifact, PoiRecord
-from .geo import GeoPoint, geo_centroid, to_local_polar
-from .metrics import QuantReport, build_quant_report
+from .geo import GeoPoint, group_centroids, local_polar
+from .metrics import QuantReport, quant_report
 from .quantizer import (
     ROPE_LAYER_BOTH,
     ROPE_LAYER_SECOND,
@@ -39,7 +39,13 @@ from .quantizer import (
     quantize_layer,
     train_third_layer,
 )
-from .sid import Sid, SidIndex, assemble
+from .sid import Sid, SidIndex, check_codes, group_codes
+
+# Not called here; kept bound because perfbench/tracer.py wraps these module
+# attributes by name.
+from .geo import geo_centroid, to_local_polar  # noqa: F401
+from .metrics import build_quant_report  # noqa: F401
+from .sid import assemble  # noqa: F401
 
 __all__ = [
     "DEFAULT_SWEEP_GRID",
@@ -108,38 +114,50 @@ class RunResult:
     config: TrainConfig
 
 
+def _coordinates(pois: Sequence[PoiRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Latitude and longitude columns of the POIs, in degrees."""
+    n = len(pois)
+    lat = np.fromiter((poi.location.lat for poi in pois), dtype=float, count=n)
+    lon = np.fromiter((poi.location.lon for poi in pois), dtype=float, count=n)
+    return lat, lon
+
+
 def _cluster_frames(
-    keys: Sequence, points: Sequence[GeoPoint], d_scale_override: float | None
+    keys: np.ndarray, lat: np.ndarray, lon: np.ndarray, d_scale_override: float | None
 ) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
     """Geo frame per cluster key plus per-POI polar arrays.
 
+    ``keys`` is (N, 1) for j1 clusters or (N, 2) for (j1, j2) clusters.
     The distance scale defaults to the cluster's maximum member distance
     (so normalized distances span the full range inside every cluster);
     clusters whose members all sit on the centroid get scale 1 km, which
     normalizes their zero distances to zero.
     """
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    n = len(keys)
-    d_km = np.zeros(n)
-    sigma = np.zeros(n)
-    scale = np.ones(n)
-    frames: dict = {}
-    for key in sorted(groups):
-        members = groups[key]
-        center = geo_centroid([points[i] for i in members])
-        polars = [to_local_polar(center, points[i]) for i in members]
-        if d_scale_override is not None:
-            cluster_scale = d_scale_override
-        else:
-            cluster_scale = max(p.d for p in polars) or 1.0
-        frames[key] = ClusterGeo(center=center, d_scale_km=cluster_scale)
-        for i, polar in zip(members, polars):
-            d_km[i] = polar.d
-            sigma[i] = polar.sigma
-            scale[i] = cluster_scale
-    return frames, d_km, sigma, scale
+    cells, groups = group_codes(keys)
+    center_lat, center_lon = group_centroids(groups, lat, lon)
+    d_km, sigma = local_polar(center_lat[groups], center_lon[groups], lat, lon)
+    if d_scale_override is not None:
+        cluster_scale = np.full(cells.shape[0], float(d_scale_override))
+    else:
+        cluster_scale = np.zeros(cells.shape[0])
+        np.maximum.at(cluster_scale, groups, d_km)
+        cluster_scale[cluster_scale == 0.0] = 1.0
+    frames = {
+        (cell[0] if len(cell) == 1 else tuple(cell)): ClusterGeo(GeoPoint(c_lat, c_lon), c_scale)
+        for cell, c_lat, c_lon, c_scale in zip(
+            cells.tolist(), center_lat.tolist(), center_lon.tolist(), cluster_scale.tolist()
+        )
+    }
+    return frames, d_km, sigma, cluster_scale[groups]
+
+
+def _sids(
+    pois: Sequence[PoiRecord], codes: np.ndarray, capacities: tuple[int, ...]
+) -> dict[str, Sid]:
+    """POI id -> SID from an (N, 3) code array, range-checked as
+    :func:`assemble` checks one triple."""
+    check_codes(codes, capacities)
+    return {poi.id: Sid(*row) for poi, row in zip(pois, codes.tolist())}
 
 
 def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> RunResult:
@@ -152,7 +170,7 @@ def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> 
         raise ValueError(f"embedding matrix shape {data.shape} does not match {len(pois)} POIs")
     if data.shape[1] % 2 != 0:
         raise ValueError(f"embedding dimension must be even, got {data.shape[1]}")
-    points = [poi.location for poi in pois]
+    lat, lon = _coordinates(pois)
     k1, k2, k3 = cfg.layer_sizes
     geo_second: dict = {}
     geo_third: dict = {}
@@ -165,9 +183,7 @@ def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> 
     l2_input = r1
     if cfg.uses_geo and cfg.rope_layer in (ROPE_LAYER_SECOND, ROPE_LAYER_BOTH):
         with _stage("layer-2 geo enhancement"):
-            geo_second, d_km, sig, scale = _cluster_frames(
-                [int(j) for j in j1], points, cfg.d_scale_km
-            )
+            geo_second, d_km, sig, scale = _cluster_frames(j1[:, None], lat, lon, cfg.d_scale_km)
             l2_input = build_variant_matrix(r1, d_km, sig, cfg, scale)
     with _stage("layer-2 clustering"):
         layer2, j2, r2 = quantize_layer(
@@ -178,19 +194,16 @@ def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> 
     if cfg.uses_geo and cfg.rope_layer in (ROPE_LAYER_THIRD, ROPE_LAYER_BOTH):
         with _stage("layer-3 geo enhancement"):
             geo_third, d_km, sig, scale = _cluster_frames(
-                [(int(a), int(b)) for a, b in zip(j1, j2)], points, cfg.d_scale_km
+                np.stack([j1, j2], axis=1), lat, lon, cfg.d_scale_km
             )
             l3_input = build_variant_matrix(r2, d_km, sig, cfg, scale)
     with _stage("layer-3 clustering"):
         layer3, j3 = train_third_layer(l3_input, k3, cfg)
 
     with _stage("sid assembly"):
-        assignments = {
-            poi.id: assemble(int(a), int(b), int(c), cfg.layer_sizes)
-            for poi, a, b, c in zip(pois, j1, j2, j3)
-        }
-        locations = {poi.id: poi.location for poi in pois}
-        report = build_quant_report(assignments, locations, cfg.layer_sizes)
+        codes = np.stack([j1, j2, j3], axis=1)
+        assignments = _sids(pois, codes, cfg.layer_sizes)
+        report = quant_report(codes, lat, lon, cfg.layer_sizes)
         artifact = CodebookArtifact(
             config=cfg,
             layers=(layer1, layer2, layer3),
@@ -224,47 +237,24 @@ def assign_with_codebook(
         raise ValueError(
             f"embedding dimension {data.shape[1]} != codebook dimension {artifact.layers[0].dim}"
         )
-    points = [poi.location for poi in pois]
+    lat, lon = _coordinates(pois)
 
     j1 = np.atleast_1d(assign(data, artifact.layers[0]))
     r1 = next_residuals(data, artifact.layers[0].centroids[j1], cfg.metric)
 
     l2_input = r1
     if cfg.uses_geo and cfg.rope_layer in (ROPE_LAYER_SECOND, ROPE_LAYER_BOTH):
-        d_km, sig, scale = _lookup_frames(artifact.geo_second, [int(a) for a in j1], points)
+        d_km, sig, scale = artifact.second_frames.polar(j1[:, None], lat, lon)
         l2_input = build_variant_matrix(r1, d_km, sig, cfg, scale)
     j2 = np.atleast_1d(assign(l2_input, artifact.layers[1]))
     r2 = next_residuals(l2_input, artifact.layers[1].centroids[j2], cfg.metric)
 
     l3_input = r2
     if cfg.uses_geo and cfg.rope_layer in (ROPE_LAYER_THIRD, ROPE_LAYER_BOTH):
-        keys = [(int(a), int(b)) for a, b in zip(j1, j2)]
-        d_km, sig, scale = _lookup_frames(artifact.geo_third, keys, points)
+        d_km, sig, scale = artifact.third_frames.polar(np.stack([j1, j2], axis=1), lat, lon)
         l3_input = build_variant_matrix(r2, d_km, sig, cfg, scale)
     j3 = np.atleast_1d(assign(l3_input, artifact.layers[2]))
-
-    return {
-        poi.id: assemble(int(a), int(b), int(c), cfg.layer_sizes)
-        for poi, a, b, c in zip(pois, j1, j2, j3)
-    }
-
-
-def _lookup_frames(
-    frames: Mapping, keys: Sequence, points: Sequence[GeoPoint]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = len(keys)
-    d_km = np.zeros(n)
-    sigma = np.zeros(n)
-    scale = np.ones(n)
-    for i, key in enumerate(keys):
-        ref = frames.get(key)
-        if ref is None:
-            continue  # unseen cluster cell: neutral frame
-        polar = to_local_polar(ref.center, points[i])
-        d_km[i] = polar.d
-        sigma[i] = polar.sigma
-        scale[i] = ref.d_scale_km
-    return d_km, sigma, scale
+    return _sids(pois, np.stack([j1, j2, j3], axis=1), cfg.layer_sizes)
 
 
 def resolve_worker_count(n_tasks: int) -> int:

@@ -182,13 +182,17 @@ def _gram(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return (v @ c.T)[: vectors.shape[0], : centroids.shape[0]]
 
 
-def _cosine_similarities(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(N, K) cosine similarities; zero-norm rows or centroids score 0."""
+def _cosine_similarities(
+    vectors: np.ndarray, centroids: np.ndarray, vector_sq_norms: np.ndarray
+) -> np.ndarray:
+    """(N, K) cosine similarities; zero-norm rows or centroids score 0.
+    ``vector_sq_norms`` is ``_row_sq_norms(vectors)``, computed by the caller."""
     gram = _gram(vectors, centroids)
-    denom = np.sqrt(_row_sq_norms(vectors))[:, None] * np.sqrt(_row_sq_norms(centroids))[None, :]
+    centroid_sq_norms = _row_sq_norms(centroids)
+    denom = np.sqrt(vector_sq_norms)[:, None] * np.sqrt(centroid_sq_norms)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = np.where(denom > 0.0, gram / denom, 0.0)
-    zero_c = _row_sq_norms(centroids) == 0.0
+    zero_c = centroid_sq_norms == 0.0
     if np.any(zero_c):
         sims[:, zero_c] = -2.0  # below any true cosine: degenerate sentinel never wins
     return sims
@@ -213,9 +217,10 @@ def _distances_and_labels(
     squared distance with argmin.
     """
     if metric == METRIC_COSINE:
-        sims = _cosine_similarities(vectors, centroids)
+        sq_norms = _row_sq_norms(vectors)
+        sims = _cosine_similarities(vectors, centroids, sq_norms)
         labels = np.argmax(sims, axis=1)
-        labels[_row_sq_norms(vectors) == 0.0] = 0
+        labels[sq_norms == 0.0] = 0
         return 1.0 - sims, labels
     dists = _sq_euclidean(vectors, centroids)
     return dists, np.argmin(dists, axis=1)

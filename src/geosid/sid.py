@@ -20,6 +20,8 @@ __all__ = [
     "Sid",
     "SidIndex",
     "assemble",
+    "check_codes",
+    "group_codes",
     "hard_code_layer4",
     "resolve_closest",
     "resolve_random",
@@ -41,6 +43,13 @@ class Sid:
     j4: int = -1  # -1 encodes "absent" so instances stay orderable
 
     def __post_init__(self) -> None:
+        j1, j2, j3, j4 = self.j1, self.j2, self.j3, self.j4
+        # plain ints (not bool, not numpy) already in range need no coercion
+        if (
+            type(j1) is int and type(j2) is int and type(j3) is int and type(j4) is int
+            and j1 >= 0 and j2 >= 0 and j3 >= 0 and j4 >= -1
+        ):
+            return
         for name in ("j1", "j2", "j3"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 0:
@@ -64,12 +73,44 @@ class Sid:
         return f"{base}-{self.j4}" if self.has_layer4 else base
 
 
+_CODE_NAMES = ("j1", "j2", "j3")
+
+
+def _out_of_range(name: str, idx: int, cap: int) -> ValueError:
+    return ValueError(f"{name}={idx} out of range for layer capacity {cap}")
+
+
 def assemble(j1: int, j2: int, j3: int, capacities: tuple[int, int, int]) -> Sid:
     """Build a SID, validating each index against its layer capacity."""
-    for name, idx, cap in zip(("j1", "j2", "j3"), (j1, j2, j3), capacities):
+    for name, idx, cap in zip(_CODE_NAMES, (j1, j2, j3), capacities):
         if not 0 <= idx < cap:
-            raise ValueError(f"{name}={idx} out of range for layer capacity {cap}")
+            raise _out_of_range(name, idx, cap)
     return Sid(j1, j2, j3)
+
+
+def check_codes(codes: np.ndarray, capacities: tuple[int, int, int]) -> None:
+    """Columnar :func:`assemble` check over an (N, 3) code array: raises the
+    error ``assemble`` would raise for the first offending row."""
+    bad = (codes < 0) | (codes >= np.asarray(capacities))
+    if np.any(bad):
+        row, col = divmod(int(np.argmax(bad)), 3)
+        raise _out_of_range(_CODE_NAMES[col], int(codes[row, col]), capacities[col])
+
+
+def group_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an (N, L) integer code array in ascending
+    lexicographic order, and for each row the index of its distinct row.
+
+    Same result as ``np.unique(codes, axis=0, return_inverse=True)``, from
+    one lexsort instead of a sort over row-sized void records.
+    """
+    order = np.lexsort(codes.T[::-1])
+    ranked = codes[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    groups = np.empty(len(order), dtype=np.int64)
+    groups[order] = np.cumsum(starts) - 1
+    return ranked[starts], groups
 
 
 class SidIndex:

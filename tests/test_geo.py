@@ -1,7 +1,9 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from geosid.geo import (
     EARTH_RADIUS_KM,
@@ -12,7 +14,9 @@ from geosid.geo import (
     LocalPolar,
     azimuth_rad,
     geo_centroid,
+    group_centroids,
     haversine_km,
+    local_polar,
     to_local_polar,
 )
 
@@ -149,3 +153,120 @@ class TestToLocalPolar:
         polar = to_local_polar(center, p)
         assert polar.d == haversine_km(center, p)
         assert polar.sigma == azimuth_rad(center, p)
+
+
+# numpy's vectorized sin/cos may round differently from math in the last
+# ulp; 1e-9 km / rad leaves orders of magnitude of room for that
+KERNEL_TOL = 1e-9
+
+# (center, point) pairs: criterion-3 fixtures, poles, pairs across +-180
+# degrees, coincident points (sigma = 0) and antipodal points (h clipped)
+KERNEL_CASES = [
+    ((0.0, 0.0), (0.0, 1.0)),
+    ((0.0, 0.0), (90.0, 0.0)),
+    ((0.0, 0.0), (1.0, 0.0)),
+    ((0.0, 0.0), (-1.0, 0.0)),
+    ((0.0, 0.0), (0.0, -1.0)),
+    ((90.0, 0.0), (89.0, 45.0)),
+    ((-90.0, 10.0), (-90.0, -170.0)),
+    ((89.9999, 0.0), (-89.9999, 180.0)),
+    ((10.0, 179.9), (10.0, -179.9)),
+    ((-35.0, -179.5), (-35.2, 179.8)),
+    ((10.0, 20.0), (10.0, 20.0)),
+    ((90.0, 0.0), (90.0, 0.0)),
+    ((0.0, 0.0), (0.0, 180.0)),
+    ((45.0, 30.0), (-45.0, -150.0)),
+]
+
+
+def _assert_kernel_matches_scalar(pairs):
+    centers = [GeoPoint(*c) for c, _ in pairs]
+    points = [GeoPoint(*q) for _, q in pairs]
+    d_km, sigma = local_polar(
+        np.array([c.lat for c in centers]),
+        np.array([c.lon for c in centers]),
+        np.array([q.lat for q in points]),
+        np.array([q.lon for q in points]),
+    )
+    for i, (c, q) in enumerate(zip(centers, points)):
+        assert abs(d_km[i] - haversine_km(c, q)) <= KERNEL_TOL
+        want = azimuth_rad(c, q)
+        # an angle within an ulp of -pi may fold to +pi on one side only,
+        # so compare on the circle
+        got = sigma[i]
+        assert -math.pi < got <= math.pi
+        assert min(abs(got - want), 2 * math.pi - abs(got - want)) <= KERNEL_TOL
+        if c == q:
+            assert got == 0.0 and d_km[i] == 0.0
+
+
+class TestLocalPolarKernel:
+    @pytest.mark.parametrize("center,point", KERNEL_CASES)
+    def test_edge_cases_match_scalar(self, center, point):
+        _assert_kernel_matches_scalar([(center, point)])
+
+    def test_fixture_batch_matches_scalar(self):
+        _assert_kernel_matches_scalar(KERNEL_CASES)
+
+    def test_antipodal_distance_is_half_circumference(self):
+        d_km, _ = local_polar(np.array([0.0]), np.array([0.0]), np.array([0.0]), np.array([180.0]))
+        assert d_km[0] == pytest.approx(math.pi * EARTH_RADIUS_KM, abs=KERNEL_TOL)
+
+    def test_custom_earth(self):
+        d_km, _ = local_polar(
+            np.array([0.0]), np.array([0.0]), np.array([0.0]), np.array([180.0]), EarthModel(1.0)
+        )
+        assert d_km[0] == pytest.approx(math.pi)
+
+    @given(st.lists(st.tuples(lat_st, lon_st, lat_st, lon_st), min_size=1, max_size=40))
+    @example([(0.0, 0.0, 0.0, 180.0), (90.0, 0.0, -90.0, 0.0), (5.0, 5.0, 5.0, 5.0)])
+    def test_sweep_matches_scalar(self, rows):
+        _assert_kernel_matches_scalar([((a, b), (c, d)) for a, b, c, d in rows])
+
+    @given(
+        lat_st,
+        lon_st,
+        st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)), min_size=1, max_size=30),
+    )
+    def test_sweep_near_center_matches_scalar(self, lat0, lon0, offsets):
+        # short distances, the regime of every cluster frame
+        pairs = [
+            ((lat0, lon0), (max(-90.0, min(90.0, lat0 + dlat)), lon0 + dlon))
+            for dlat, dlon in offsets
+        ]
+        _assert_kernel_matches_scalar(pairs)
+
+
+class TestGroupCentroids:
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), lat_st, lon_st), min_size=1, max_size=60)
+    )
+    def test_bit_equal_to_geo_centroid(self, rows):
+        present = sorted({g for g, _, _ in rows})
+        dense = {g: i for i, g in enumerate(present)}  # every group id must occur
+        groups = np.array([dense[g] for g, _, _ in rows])
+        points = [GeoPoint(lat, lon) for _, lat, lon in rows]
+        lat = np.array([p.lat for p in points])
+        lon = np.array([p.lon for p in points])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AntimeridianWarning)
+            c_lat, c_lon = group_centroids(groups, lat, lon)
+            for g in range(len(present)):
+                ref = geo_centroid([p for p, gi in zip(points, groups) if gi == g])
+                assert c_lat[g] == ref.lat and c_lon[g] == ref.lon
+
+    def test_antimeridian_warning(self):
+        with pytest.warns(AntimeridianWarning):
+            group_centroids(np.array([0, 0, 1]), np.zeros(3), np.array([-179.0, 179.0, 5.0]))
+
+    def test_no_warning_for_compact_groups(self, recwarn):
+        group_centroids(np.array([0, 1, 0]), np.zeros(3), np.array([10.0, 170.0, 11.0]))
+        assert not [w for w in recwarn if issubclass(w.category, AntimeridianWarning)]
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyClusterError):
+            group_centroids(np.array([], dtype=int), np.array([]), np.array([]))
+
+    def test_missing_group_rejected(self):
+        with pytest.raises(EmptyClusterError):
+            group_centroids(np.array([0, 2]), np.zeros(2), np.zeros(2))

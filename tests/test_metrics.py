@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from geosid.geo import GeoPoint
+from geosid.geo import GeoPoint, geo_centroid, haversine_km
 from geosid.metrics import (
     QuantReport,
     RankingCase,
@@ -14,6 +16,7 @@ from geosid.metrics import (
     icr,
     ndcg_at_n,
     nearest_rank,
+    quant_report,
 )
 from geosid.sid import Sid
 
@@ -114,7 +117,54 @@ class TestGeoDispersion:
         assert p90 <= p95
 
 
+def _dispersion_reference(assignments, locations):
+    """Per-POI loop over the scalar geodesy functions."""
+    groups = {}
+    for pid in sorted(assignments):
+        groups.setdefault(assignments[pid].key, []).append(pid)
+    dists = []
+    for members in groups.values():
+        center = geo_centroid([locations[pid] for pid in members])
+        dists.extend(haversine_km(center, locations[pid]) for pid in members)
+    dists.sort()
+    return sum(dists) / len(dists), nearest_rank(dists, 0.90), nearest_rank(dists, 0.95)
+
+
+_sid_st = st.builds(Sid, st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+_point_st = st.builds(GeoPoint, st.floats(-60.0, 60.0), st.floats(-80.0, 80.0))
+
+
+class TestDispersionAgainstReference:
+    @given(st.lists(st.tuples(_sid_st, _point_st), min_size=1, max_size=40))
+    def test_matches_scalar_loop(self, rows):
+        assignments = {f"p{i:02d}": sid for i, (sid, _) in enumerate(rows)}
+        locations = {f"p{i:02d}": point for i, (_, point) in enumerate(rows)}
+        want = _dispersion_reference(assignments, locations)
+        got = geo_dispersion(assignments, locations)
+        # the kernel's sin/cos may differ from math's in the last ulp
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    @given(st.lists(st.tuples(_sid_st, _point_st), min_size=1, max_size=40))
+    def test_icr_cur_match_counter(self, rows):
+        assignments = {f"p{i:02d}": sid for i, (sid, _) in enumerate(rows)}
+        counts = Counter(sid.key for sid in assignments.values())
+        assert icr(assignments) == sum(counts[s.key] == 1 for s in assignments.values()) / len(rows)
+        assert cur(assignments, (3, 3, 2)) == len(counts) / 18
+
+
 class TestQuantReport:
+    def test_columnar_equals_dict_form(self):
+        ids = ["p3", "p1", "p2", "p0"]
+        sids = [A, A, B, C]
+        points = [GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(5, 5), GeoPoint(-3, 7)]
+        order = sorted(range(4), key=lambda i: ids[i])
+        codes = np.array([sids[i].key for i in order])
+        lat = np.array([points[i].lat for i in order])
+        lon = np.array([points[i].lon for i in order])
+        by_dict = build_quant_report(dict(zip(ids, sids)), dict(zip(ids, points)), (2, 2, 2))
+        assert quant_report(codes, lat, lon, (2, 2, 2)) == by_dict
+
+
     def test_build(self):
         assignments = {"p1": A, "p2": A, "p3": B}
         locations = {"p1": GeoPoint(0, 0), "p2": GeoPoint(0, 1), "p3": GeoPoint(5, 5)}

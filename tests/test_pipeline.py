@@ -3,8 +3,9 @@ import pytest
 
 from oracles import lloyd_oracle
 
+import geosid.pipeline
 from geosid.data_io import CodebookArtifact, PoiRecord, SynthConfig, generate_synthetic
-from geosid.geo import GeoPoint
+from geosid.geo import AntimeridianWarning, GeoPoint
 from geosid.pipeline import (
     DEFAULT_SWEEP_GRID,
     SweepGrid,
@@ -111,6 +112,17 @@ class TestRun:
         assert dims["second"] == (m, 4 * m, 4 * m)
         assert dims["both"] == (m, 4 * m, 16 * m)
 
+    def test_antimeridian_cluster_warns(self):
+        u = np.array([1.0, 0.0, 0.0, 0.0])
+        w = np.array([0.0, 1.0, 0.0, 0.0])
+        embeddings = np.stack([u + 0.02 * w, u - 0.02 * w])
+        pois = [
+            PoiRecord("east", GeoPoint(10.0, 179.95), 0),
+            PoiRecord("west", GeoPoint(10.0, -179.95), 1),
+        ]
+        with pytest.warns(AntimeridianWarning):
+            run(pois, embeddings, TrainConfig(layer_sizes=(1, 1, 2), seed=0))
+
     def test_d_scale_override_respected(self, small_corpus):
         pois, embeddings = small_corpus
         res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=2, d_scale_km=55.0))
@@ -126,24 +138,92 @@ class TestAssignWithCodebook:
         # float32 storage rounding may flip a marginal point, nothing more
         assert agree >= len(pois) - 1
 
-    def test_neutral_frame_for_unseen_cells(self, small_corpus):
+    def test_neutral_frame_for_unseen_cells(self, small_corpus, monkeypatch):
+        pois, embeddings = small_corpus
+        res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=11))
+        cells = list(res.artifact.geo_third)
+        assert len(cells) >= 2
+        kept = {cell: res.artifact.geo_third[cell] for cell in cells[::2]}
+        half = CodebookArtifact(
+            config=res.artifact.config,
+            layers=res.artifact.layers,
+            geo_second={},
+            geo_third=kept,  # POIs in the dropped cells take the neutral path
+            sid_index=res.artifact.sid_index,
+        )
+
+        frames = []
+        real = geosid.pipeline.build_variant_matrix
+
+        def record(r2, d_km, sigma, cfg, scale):
+            frames.append((d_km, sigma, scale))
+            return real(r2, d_km, sigma, cfg, scale)
+
+        monkeypatch.setattr(geosid.pipeline, "build_variant_matrix", record)
+        full_out = assign_with_codebook(res.artifact, pois, embeddings)
+        half_out = assign_with_codebook(half, pois, embeddings)
+        assert len(half_out) == len(pois)
+        (d_full, s_full, scale_full), (d_half, s_half, scale_half) = frames
+
+        in_kept = np.array([full_out[p.id].key[:2] in kept for p in pois])
+        assert in_kept.any() and not in_kept.all()
+        assert np.all(d_half[~in_kept] == 0.0)
+        assert np.all(s_half[~in_kept] == 0.0)
+        assert np.all(scale_half[~in_kept] == 1.0)
+        assert np.array_equal(d_half[in_kept], d_full[in_kept])
+        assert np.array_equal(s_half[in_kept], s_full[in_kept])
+        assert np.array_equal(scale_half[in_kept], scale_full[in_kept])
+
+    def test_no_frames_at_all(self, small_corpus):
         pois, embeddings = small_corpus
         res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=11))
         bare = CodebookArtifact(
             config=res.artifact.config,
             layers=res.artifact.layers,
             geo_second={},
-            geo_third={},  # drop every frame: all POIs take the neutral path
+            geo_third={},
             sid_index=res.artifact.sid_index,
         )
-        out = assign_with_codebook(bare, pois, embeddings)
-        assert len(out) == len(pois)
+        assert len(assign_with_codebook(bare, pois, embeddings)) == len(pois)
+
+    def test_frame_cell_outside_layer_sizes_rejected(self, small_corpus):
+        pois, embeddings = small_corpus
+        res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=11))
+        some_frame = next(iter(res.artifact.geo_third.values()))
+        with pytest.raises(ValueError, match=r"\(0, 2\)"):
+            CodebookArtifact(
+                config=res.artifact.config,
+                layers=res.artifact.layers,
+                geo_second={},
+                geo_third={(0, 2): some_frame},  # j2 == K2 would alias cell (1, 0)
+                sid_index=res.artifact.sid_index,
+            )
 
     def test_dimension_mismatch(self, small_corpus):
         pois, embeddings = small_corpus
         res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=11))
         with pytest.raises(ValueError):
             assign_with_codebook(res.artifact, pois, embeddings[:, :4])
+
+
+class TestReplayInvariance:
+    @pytest.fixture(scope="class")
+    def trained(self):
+        cfg = SynthConfig(n_semantic_clusters=8, pois_per_cluster=250, embedding_dim=16, seed=3)
+        pois, embeddings = generate_synthetic(cfg)
+        res = run(pois, embeddings, TrainConfig(layer_sizes=(4, 8, 8), seed=3, max_iters=20))
+        return res.artifact, pois, embeddings
+
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    def test_batch_size_never_changes_a_sid(self, trained, batch):
+        artifact, pois, embeddings = trained
+        assert len(pois) == 2000
+        whole = assign_with_codebook(artifact, pois, embeddings)
+        batched = {}
+        for start in range(0, len(pois), batch):
+            stop = start + batch
+            batched.update(assign_with_codebook(artifact, pois[start:stop], embeddings[start:stop]))
+        assert batched == whole
 
 
 class TestCompare:
@@ -268,7 +348,7 @@ def _third_layer_input(pois, embeddings, cfg):
     from geosid.quantizer import build_variant_matrix, train_hierarchy
 
     hierarchy = train_hierarchy(embeddings, cfg)
-    keys = [(int(a), int(b)) for a, b in hierarchy.codes]
-    points = [p.location for p in pois]
-    _, d_km, sigma, scale = _cluster_frames(keys, points, cfg.d_scale_km)
+    lat = np.array([p.location.lat for p in pois])
+    lon = np.array([p.location.lon for p in pois])
+    _, d_km, sigma, scale = _cluster_frames(hierarchy.codes, lat, lon, cfg.d_scale_km)
     return build_variant_matrix(hierarchy.residuals, d_km, sigma, cfg, scale)

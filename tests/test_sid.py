@@ -8,6 +8,8 @@ from geosid.sid import (
     Sid,
     SidIndex,
     assemble,
+    check_codes,
+    group_codes,
     hard_code_layer4,
     resolve_closest,
     resolve_random,
@@ -35,6 +37,16 @@ class TestSid:
     def test_orderable(self):
         assert Sid(0, 0, 1) < Sid(0, 1, 0) < Sid(1, 0, 0)
 
+    def test_numpy_and_bool_indices_become_int(self):
+        sid = Sid(np.int64(1), True, np.int32(3), np.int16(0))
+        assert sid == Sid(1, 1, 3, 0)
+        assert all(type(v) is int for v in (sid.j1, sid.j2, sid.j3, sid.j4))
+
+    @pytest.mark.parametrize("args", [(0, 0, 0, -2), (0, -1, 0), (1.0, 0, 0), (0, 0, "1")])
+    def test_rejects_invalid(self, args):
+        with pytest.raises(ValueError):
+            Sid(*args)
+
 
 class TestAssemble:
     def test_zero_triple(self):
@@ -47,10 +59,42 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(512, 0, 0, CAPS)
 
+    @given(st.lists(st.tuples(*[st.integers(-2, 4)] * 3), min_size=1))
+    def test_check_codes_raises_what_assemble_raises(self, rows):
+        caps = (3, 3, 3)
+        expected = None
+        for row in rows:
+            try:
+                assemble(*row, caps)
+            except ValueError as exc:
+                expected = str(exc)
+                break
+        if expected is None:
+            check_codes(np.array(rows), caps)
+        else:
+            with pytest.raises(ValueError) as info:
+                check_codes(np.array(rows), caps)
+            assert str(info.value) == expected
+
     @given(st.integers(0, 511), st.integers(0, 511), st.integers(0, 511))
     def test_bijection(self, a, b, c):
         sid = assemble(a, b, c, CAPS)
         assert (sid.j1, sid.j2, sid.j3) == (a, b, c)
+
+
+class TestGroupCodes:
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda width: st.lists(
+                st.lists(st.integers(-3, 3), min_size=width, max_size=width), max_size=40
+            ).map(lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), width))
+        )
+    )
+    def test_matches_numpy_unique(self, codes):
+        distinct, groups = group_codes(codes)
+        want_distinct, want_groups = np.unique(codes, axis=0, return_inverse=True)
+        assert np.array_equal(distinct, want_distinct)
+        assert np.array_equal(groups, want_groups.reshape(-1))
 
 
 def _index(mapping):
