@@ -190,39 +190,46 @@ def _cosine_similarities(
     gram = _gram(vectors, centroids)
     centroid_sq_norms = _row_sq_norms(centroids)
     denom = np.sqrt(vector_sq_norms)[:, None] * np.sqrt(centroid_sq_norms)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sims = np.where(denom > 0.0, gram / denom, 0.0)
+    sims = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0.0)
     zero_c = centroid_sq_norms == 0.0
     if np.any(zero_c):
         sims[:, zero_c] = -2.0  # below any true cosine: degenerate sentinel never wins
     return sims
 
 
-def _sq_euclidean(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(N, K) squared Euclidean distances via the expanded inner product."""
+def _sq_euclidean(
+    vectors: np.ndarray, centroids: np.ndarray, vector_sq_norms: np.ndarray
+) -> np.ndarray:
+    """(N, K) squared Euclidean distances via the expanded inner product.
+    ``vector_sq_norms`` is ``_row_sq_norms(vectors)``, computed by the caller."""
     return (
-        _row_sq_norms(vectors)[:, None]
+        vector_sq_norms[:, None]
         - 2.0 * _gram(vectors, centroids)
         + _row_sq_norms(centroids)[None, :]
     )
 
 
 def _distances_and_labels(
-    vectors: np.ndarray, centroids: np.ndarray, metric: str
+    vectors: np.ndarray,
+    centroids: np.ndarray,
+    metric: str,
+    sq_norms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distance matrix plus per-row best assignment under ``metric``.
 
     Cosine distance is 1 - similarity with argmax assignment (first index
     wins ties); zero-norm rows go to index 0 by convention. Euclidean uses
-    squared distance with argmin.
+    squared distance with argmin. ``sq_norms`` is ``_row_sq_norms(vectors)``
+    when the caller already has it (k-means reuses one per fit).
     """
-    if metric == METRIC_COSINE:
+    if sq_norms is None:
         sq_norms = _row_sq_norms(vectors)
+    if metric == METRIC_COSINE:
         sims = _cosine_similarities(vectors, centroids, sq_norms)
         labels = np.argmax(sims, axis=1)
         labels[sq_norms == 0.0] = 0
-        return 1.0 - sims, labels
-    dists = _sq_euclidean(vectors, centroids)
+        return np.subtract(1.0, sims, out=sims), labels
+    dists = _sq_euclidean(vectors, centroids, sq_norms)
     return dists, np.argmin(dists, axis=1)
 
 
@@ -267,7 +274,11 @@ def project_residual(r: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def kmeans_plus_plus_init(
-    vectors: np.ndarray, k: int, metric: str, rng: np.random.Generator
+    vectors: np.ndarray,
+    k: int,
+    metric: str,
+    rng: np.random.Generator,
+    sq_norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """k-means++ seeding under the active metric.
 
@@ -275,15 +286,19 @@ def kmeans_plus_plus_init(
     probability proportional to the squared metric distance (cosine
     distance squared, or the squared Euclidean distance itself) to the
     nearest chosen center. Falls back to a uniform draw when every
-    remaining point coincides with a chosen center.
+    remaining point coincides with a chosen center. ``sq_norms`` is
+    ``_row_sq_norms(vectors)`` if the caller has it; otherwise it is
+    computed once here.
     """
     n = vectors.shape[0]
+    if sq_norms is None:
+        sq_norms = _row_sq_norms(vectors)
     centers = np.empty((k, vectors.shape[1]), dtype=float)
     idx = int(rng.integers(n))
     centers[0] = vectors[idx]
     if k == 1:
         return centers
-    d_min = _distances_and_labels(vectors, centers[:1], metric)[0][:, 0]
+    d_min = _distances_and_labels(vectors, centers[:1], metric, sq_norms)[0][:, 0]
     for j in range(1, k):
         weights = np.maximum(d_min, 0.0)
         if metric == METRIC_COSINE:
@@ -294,20 +309,22 @@ def kmeans_plus_plus_init(
         else:
             idx = int(rng.integers(n))
         centers[j] = vectors[idx]
-        d_new = _distances_and_labels(vectors, centers[j : j + 1], metric)[0][:, 0]
+        d_new = _distances_and_labels(vectors, centers[j : j + 1], metric, sq_norms)[0][:, 0]
         d_min = np.minimum(d_min, d_new)
     return centers
 
 
 @dataclass(frozen=True, eq=False)
 class KMeansResult:
-    """Converged layer plus the training-time view of it."""
+    """Trained layer plus the training-time view of it. ``converged`` is
+    False when Lloyd stopped at ``max_iters`` instead of a fixed point."""
 
     layer: CodebookLayer
     labels: np.ndarray
     objective: float
     objective_history: tuple[float, ...]
     n_iters: int
+    converged: bool
 
 
 def _steal_farthest(
@@ -334,10 +351,16 @@ def kmeans_train(
     """Lloyd iteration under cosine or Euclidean distance.
 
     Each round assigns every vector to its best centroid, repairs empty
-    clusters, and recomputes centroids as the arithmetic mean of members
-    (accumulated in ascending row order, so results are reproducible).
-    Stops when the fraction of changed assignments drops below ``tol``
-    with no repairs pending, or after ``max_iters`` rounds.
+    clusters, and recomputes centroids as the arithmetic mean of members.
+    The update sorts rows by label (stable, so members keep ascending row
+    order) and reduces each cluster's rows with one ``np.add.reduce`` over
+    axis 0: the same accumulation as ``data[labels == j].mean(axis=0)``,
+    so results are reproducible bit for bit. Row norms are computed once
+    per fit and shared by seeding, every round and the final objective.
+
+    Stops with no repairs pending when no assignment changed (a fixed
+    point, whatever ``tol`` is) or when the fraction of changed
+    assignments drops below ``tol``; otherwise after ``max_iters`` rounds.
 
     Empty-cluster repair (and, for cosine, re-seeding of a centroid whose
     member mean is the zero vector): the point farthest from its own
@@ -360,12 +383,15 @@ def kmeans_train(
     if metric not in _METRICS:
         raise ValueError(f"unknown metric {metric!r}")
 
+    sq_norms = _row_sq_norms(data)
     if init_centroids is not None:
         centroids = np.array(init_centroids, dtype=float)
         if centroids.shape != (k, data.shape[1]):
             raise ValueError(f"init_centroids shape {centroids.shape} != {(k, data.shape[1])}")
     else:
-        centroids = kmeans_plus_plus_init(data, k, metric, np.random.default_rng(seed))
+        centroids = kmeans_plus_plus_init(
+            data, k, metric, np.random.default_rng(seed), sq_norms=sq_norms
+        )
 
     rows = np.arange(n)
     labels = None
@@ -374,7 +400,7 @@ def kmeans_train(
     iters = 0
     for _ in range(max_iters):
         iters += 1
-        dists, new_labels = _distances_and_labels(data, centroids, metric)
+        dists, new_labels = _distances_and_labels(data, centroids, metric, sq_norms)
         if labels is not None:
             history.append(float(np.sum(dists[rows, labels])))
         changed = n if labels is None else int(np.count_nonzero(new_labels != labels))
@@ -393,18 +419,22 @@ def kmeans_train(
             taken[p] = True
             repaired = True
 
-        if changed / n < tol and not repaired:
+        if (changed == 0 or changed / n < tol) and not repaired:
             converged = True
             break
 
+        order = np.argsort(labels, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(counts)))
         sums = np.zeros((k, data.shape[1]), dtype=float)
-        np.add.at(sums, labels, data)
+        for j in np.nonzero(counts)[0]:
+            members = order[bounds[j] : bounds[j + 1]]
+            np.add.reduce(data[members], axis=0, out=sums[j])
         centroids = sums / counts[:, None]
 
         if metric == METRIC_COSINE:
             for j in np.nonzero(_row_sq_norms(centroids) == 0.0)[0]:
                 p = _steal_farthest(dists, labels, counts, taken)
-                if p < 0 or np.sum(data[p] * data[p]) == 0.0:
+                if p < 0 or sq_norms[p] == 0.0:
                     continue  # all-zero data: keep the zero sentinel
                 counts[labels[p]] -= 1
                 labels[p] = j
@@ -415,7 +445,7 @@ def kmeans_train(
     if converged:
         objective = history[-1]
     else:
-        dists, _ = _distances_and_labels(data, centroids, metric)
+        dists, _ = _distances_and_labels(data, centroids, metric, sq_norms)
         objective = float(np.sum(dists[rows, labels]))
         history.append(objective)
 
@@ -425,6 +455,7 @@ def kmeans_train(
         objective=objective,
         objective_history=tuple(history),
         n_iters=iters,
+        converged=converged,
     )
 
 

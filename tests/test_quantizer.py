@@ -13,6 +13,8 @@ from geosid.quantizer import (
     CodebookLayer,
     DegenerateCentroidError,
     TrainConfig,
+    _distances_and_labels,
+    _row_sq_norms,
     assign,
     assign_cosine,
     build_variant_matrix,
@@ -207,15 +209,117 @@ class TestKMeansTrain:
             assert np.array_equal(res.layer.centroids, centroids)
             assert res.objective == objective
 
+    @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
+    @pytest.mark.parametrize("dim", [1, 6])
+    def test_matches_oracle_on_large_uneven_clusters(self, metric, dim):
+        # clusters of several hundred rows: a blocked or pairwise reduction
+        # in the centroid update would differ from the oracle's mean(axis=0)
+        data = _uneven_blobs(dim, seed=dim)
+        init = kmeans_plus_plus_init(data, 4, metric, np.random.default_rng(dim))
+        res = kmeans_train(data, 4, metric=metric, init_centroids=init, max_iters=3)
+        labels, centroids, objective = lloyd_oracle(data, 4, metric, init, max_iters=3)
+        assert np.array_equal(res.labels, labels)
+        assert np.array_equal(res.layer.centroids, centroids)
+        assert res.objective == objective
+
+    @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
+    def test_matches_oracle_after_empty_cluster_repair(self, metric):
+        data = _uneven_blobs(5, seed=7)
+        init = kmeans_plus_plus_init(data, 3, metric, np.random.default_rng(3))
+        init = np.vstack([init[:1], init])  # the duplicate centroid 1 never wins a tie
+        _, first = _distances_and_labels(data, init, metric)
+        assert np.bincount(first, minlength=4)[1] == 0  # so round 1 repairs before its update
+        res = kmeans_train(data, 4, metric=metric, init_centroids=init, max_iters=3)
+        labels, centroids, objective = lloyd_oracle(data, 4, metric, init, max_iters=3)
+        assert np.array_equal(res.labels, labels)
+        assert np.array_equal(res.layer.centroids, centroids)
+        assert res.objective == objective
+
+    @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
+    def test_tol_zero_stops_at_fixed_point(self, metric):
+        data = np.random.default_rng(1).normal(size=(2000, 8))
+        loose = kmeans_train(data, 8, metric=metric, seed=1, tol=1e-4)
+        exact = kmeans_train(data, 8, metric=metric, seed=1, tol=0.0)
+        assert loose.converged and exact.converged
+        assert exact.n_iters == loose.n_iters < 100
+        assert np.array_equal(exact.labels, loose.labels)
+        assert np.array_equal(exact.layer.centroids, loose.layer.centroids)
+        assert exact.objective_history == loose.objective_history
+
     def test_max_iters_cap_respected(self):
         data = np.random.default_rng(0).normal(size=(50, 4))
         res = kmeans_train(data, 5, seed=1, max_iters=2)
         assert res.n_iters <= 2
         assert len(res.objective_history) >= 1
+        # a converged fit records no objective for its first round
+        assert res.converged == (len(res.objective_history) == res.n_iters - 1)
+
+    def test_unconverged_flag(self):
+        data = np.random.default_rng(0).normal(size=(200, 4))
+        res = kmeans_train(data, 6, seed=1, max_iters=1)
+        assert not res.converged
+        assert len(res.objective_history) == res.n_iters == 1
 
     def test_init_centroids_shape_check(self):
         with pytest.raises(ValueError):
             kmeans_train(np.eye(3), 2, init_centroids=np.eye(3))
+
+
+def _uneven_blobs(dim: int, seed: int) -> np.ndarray:
+    """Four Gaussian blobs of 500, 250, 120 and 40 rows, shuffled."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=4.0, size=(4, dim))
+    data = np.concatenate(
+        [c + rng.normal(size=(size, dim)) for c, size in zip(centers, (500, 250, 120, 40))]
+    )
+    return data[rng.permutation(data.shape[0])]
+
+
+class TestPrecomputedNorms:
+    """Row norms computed once per fit and passed down change no bit."""
+
+    @staticmethod
+    def _data_with_zeros():
+        data = np.random.default_rng(5).normal(size=(300, 6))
+        data[[3, 50]] = 0.0  # zero rows take the cosine convention path
+        return data
+
+    @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
+    def test_distances_and_labels(self, metric):
+        data = self._data_with_zeros()
+        centroids = np.random.default_rng(6).normal(size=(5, 6))
+        centroids[2] = 0.0  # zero centroid takes the sentinel path
+        for c in (centroids, centroids[:1]):
+            d_own, l_own = _distances_and_labels(data, c, metric)
+            d_given, l_given = _distances_and_labels(data, c, metric, _row_sq_norms(data))
+            assert np.array_equal(d_own, d_given)
+            assert np.array_equal(l_own, l_given)
+
+    @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
+    def test_kmeans_plus_plus_draws_same_centres(self, metric):
+        data = self._data_with_zeros()
+
+        def per_centre_norms(rng):
+            # seeding as it ran when every centre recomputed the data norms
+            centers = np.empty((8, data.shape[1]))
+            centers[0] = data[int(rng.integers(data.shape[0]))]
+            d_min = _distances_and_labels(data, centers[:1], metric)[0][:, 0]
+            for j in range(1, 8):
+                weights = np.maximum(d_min, 0.0)
+                if metric == METRIC_COSINE:
+                    weights = weights**2
+                centers[j] = data[int(rng.choice(data.shape[0], p=weights / np.sum(weights)))]
+                d_new = _distances_and_labels(data, centers[j : j + 1], metric)[0][:, 0]
+                d_min = np.minimum(d_min, d_new)
+            return centers
+
+        expected = per_centre_norms(np.random.default_rng(9))
+        own = kmeans_plus_plus_init(data, 8, metric, np.random.default_rng(9))
+        given = kmeans_plus_plus_init(
+            data, 8, metric, np.random.default_rng(9), sq_norms=_row_sq_norms(data)
+        )
+        assert np.array_equal(own, expected)
+        assert np.array_equal(given, expected)
 
 
 class TestNextResiduals:
