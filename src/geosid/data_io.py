@@ -307,7 +307,8 @@ class CodebookArtifact:
             )
             and self.geo_second == other.geo_second
             and self.geo_third == other.geo_third
-            and self.sid_index.assignments == other.sid_index.assignments
+            and self.sid_index.ids == other.sid_index.ids
+            and np.array_equal(self.sid_index.codes, other.sid_index.codes)
         )
 
 
@@ -343,6 +344,7 @@ def _config_from_dict(data: dict) -> TrainConfig:
 
 def save_codebook(artifact: CodebookArtifact, path: str | Path) -> None:
     """Serialize an artifact; byte-identical for equal artifacts."""
+    index = artifact.sid_index
     header = {
         "format_version": artifact.format_version,
         "config": _config_to_dict(artifact.config),
@@ -357,10 +359,7 @@ def save_codebook(artifact: CodebookArtifact, path: str | Path) -> None:
             [j1, j2, g.center.lat, g.center.lon, g.d_scale_km]
             for (j1, j2), g in artifact.geo_third.items()
         ],
-        "assignments": [
-            [pid, sid.j1, sid.j2, sid.j3]
-            for pid, sid in sorted(artifact.sid_index.assignments.items())
-        ],
+        "assignments": list(map(list, zip(index.ids, *index.codes.T.tolist()))),
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     blob = bytearray()
@@ -420,13 +419,20 @@ def load_codebook(path: str | Path) -> CodebookArtifact:
         (int(j1), int(j2)): ClusterGeo(GeoPoint(lat, lon), scale)
         for j1, j2, lat, lon, scale in header["geo_third"]
     }
-    assignments = {pid: Sid(j1, j2, j3) for pid, j1, j2, j3 in header["assignments"]}
+    rows = header["assignments"]
+    if set(map(len, rows)) != {4}:
+        raise CodebookFormatError(f"{path}: SID assignments must be non-empty [id, j1, j2, j3] rows")
+    ids, *codes = zip(*rows)
+    try:
+        sid_index = SidIndex(ids, np.array(codes).T)
+    except ValueError as exc:
+        raise CodebookFormatError(f"{path}: bad SID assignments ({exc})") from exc
     return CodebookArtifact(
         config=config,
         layers=tuple(layers),
         geo_second=geo_second,
         geo_third=geo_third,
-        sid_index=SidIndex(assignments),
+        sid_index=sid_index,
     )
 
 

@@ -21,6 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -151,17 +152,11 @@ def _cluster_frames(
     return frames, d_km, sigma, cluster_scale[groups]
 
 
-def _sids(
-    pois: Sequence[PoiRecord], codes: np.ndarray, capacities: tuple[int, ...]
-) -> dict[str, Sid]:
-    """POI id -> SID from an (N, 3) code array, range-checked as
-    :func:`assemble` checks one triple."""
-    check_codes(codes, capacities)
-    return {poi.id: Sid(*row) for poi, row in zip(pois, codes.tolist())}
-
-
 def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> RunResult:
-    """Train the full three-layer codebook and score the assignment."""
+    """Train the full three-layer codebook and score the assignment.
+
+    ``assignments`` maps each POI id, in ascending id order, to the shared
+    ``Sid`` of its triple; the report is computed in the same id order."""
     t0 = time.perf_counter()
     if len(cfg.layer_sizes) != 3:
         raise ValueError(f"the 3-layer SID pipeline needs exactly 3 layer sizes, got {cfg.layer_sizes}")
@@ -202,18 +197,22 @@ def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> 
 
     with _stage("sid assembly"):
         codes = np.stack([j1, j2, j3], axis=1)
-        assignments = _sids(pois, codes, cfg.layer_sizes)
-        report = quant_report(codes, lat, lon, cfg.layer_sizes)
+        check_codes(codes, cfg.layer_sizes)
+        ids = [poi.id for poi in pois]
+        by_id = sorted(range(len(ids)), key=ids.__getitem__)
+        index = SidIndex([ids[i] for i in by_id], codes[by_id])
+        # POI-id row order, the order metrics.geo_dispersion sums centroids in
+        report = quant_report(index.codes, lat[by_id], lon[by_id], cfg.layer_sizes)
         artifact = CodebookArtifact(
             config=cfg,
             layers=(layer1, layer2, layer3),
             geo_second=geo_second,
             geo_third=geo_third,
-            sid_index=SidIndex(assignments),
+            sid_index=index,
         )
     return RunResult(
         artifact=artifact,
-        assignments=assignments,
+        assignments=index.assignments,
         report=report,
         wall_time_s=time.perf_counter() - t0,
         config=cfg,
@@ -228,6 +227,8 @@ def assign_with_codebook(
     Geo frames come from training time; a POI landing in a (j1, j2) cell
     that never occurred during training gets a neutral frame (zero angle
     and distance, so the rotary stage degenerates to mirror duplication).
+    The returned SIDs are the artifact index's shared ``Sid`` objects;
+    only triples the index lacks get new ones.
     """
     cfg = artifact.config
     data = np.ascontiguousarray(embeddings, dtype=np.float64)
@@ -254,7 +255,9 @@ def assign_with_codebook(
         d_km, sig, scale = artifact.third_frames.polar(np.stack([j1, j2], axis=1), lat, lon)
         l3_input = build_variant_matrix(r2, d_km, sig, cfg, scale)
     j3 = np.atleast_1d(assign(l3_input, artifact.layers[2]))
-    return _sids(pois, np.stack([j1, j2, j3], axis=1), cfg.layer_sizes)
+    codes = np.stack([j1, j2, j3], axis=1)
+    check_codes(codes, cfg.layer_sizes)
+    return dict(zip(map(attrgetter("id"), pois), artifact.sid_index.sids_for(codes)))
 
 
 def resolve_worker_count(n_tasks: int) -> int:

@@ -174,8 +174,13 @@ def _gram(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """All pairwise inner products as one (N, K) matrix product.
 
     Matmul lowers single-row or single-column products to vector kernels
-    whose accumulation order differs from the matrix path; pad those shapes
-    so a given (row, centroid) pair yields the same bits at every K and N.
+    whose accumulation order differs from the matrix path; padding those
+    shapes keeps a (row, centroid) pair on the matrix path. That does not
+    make its bits independent of N: the BLAS may block or thread small row
+    counts differently, and on numpy 2.4.6 with OpenBLAS 0.3.31 (AVX-512)
+    a product over slices of 512 rows or fewer differs from the full
+    product by up to 7e-14. Splitting the rows of a product can change a
+    label.
     """
     v = np.vstack([vectors, vectors[:1]]) if vectors.shape[0] == 1 else vectors
     c = np.vstack([centroids, centroids[:1]]) if centroids.shape[0] == 1 else centroids
@@ -185,12 +190,21 @@ def _gram(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _cosine_similarities(
     vectors: np.ndarray, centroids: np.ndarray, vector_sq_norms: np.ndarray
 ) -> np.ndarray:
-    """(N, K) cosine similarities; zero-norm rows or centroids score 0.
-    ``vector_sq_norms`` is ``_row_sq_norms(vectors)``, computed by the caller."""
-    gram = _gram(vectors, centroids)
+    """(N, K) cosine similarities; zero-norm rows score 0 and zero-norm
+    centroids -2. ``vector_sq_norms`` is ``_row_sq_norms(vectors)``,
+    computed by the caller.
+
+    The division runs in place over the Gram matrix. A product of two
+    positive roots never underflows to 0, so the only zero denominators
+    are those of zero-norm rows and centroids, overwritten afterwards."""
+    sims = _gram(vectors, centroids)
     centroid_sq_norms = _row_sq_norms(centroids)
-    denom = np.sqrt(vector_sq_norms)[:, None] * np.sqrt(centroid_sq_norms)[None, :]
-    sims = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0.0)
+    denom = np.multiply.outer(np.sqrt(vector_sq_norms), np.sqrt(centroid_sq_norms))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(sims, denom, out=sims)
+    zero_v = vector_sq_norms == 0.0
+    if np.any(zero_v):
+        sims[zero_v] = 0.0
     zero_c = centroid_sq_norms == 0.0
     if np.any(zero_c):
         sims[:, zero_c] = -2.0  # below any true cosine: degenerate sentinel never wins
@@ -231,6 +245,18 @@ def _distances_and_labels(
         return np.subtract(1.0, sims, out=sims), labels
     dists = _sq_euclidean(vectors, centroids, sq_norms)
     return dists, np.argmin(dists, axis=1)
+
+
+def _center_distances(
+    vectors: np.ndarray, center: np.ndarray, metric: str, sq_norms: np.ndarray
+) -> np.ndarray:
+    """Distance of every row to one center: the column
+    :func:`_distances_and_labels` gives for a one-centroid matrix, without
+    the labels."""
+    if metric == METRIC_COSINE:
+        sims = _cosine_similarities(vectors, center[None, :], sq_norms)[:, 0]
+        return np.subtract(1.0, sims, out=sims)
+    return _sq_euclidean(vectors, center[None, :], sq_norms)[:, 0]
 
 
 def assign(r: np.ndarray, layer: CodebookLayer) -> int | np.ndarray:
@@ -298,7 +324,7 @@ def kmeans_plus_plus_init(
     centers[0] = vectors[idx]
     if k == 1:
         return centers
-    d_min = _distances_and_labels(vectors, centers[:1], metric, sq_norms)[0][:, 0]
+    d_min = _center_distances(vectors, centers[0], metric, sq_norms)
     for j in range(1, k):
         weights = np.maximum(d_min, 0.0)
         if metric == METRIC_COSINE:
@@ -309,7 +335,7 @@ def kmeans_plus_plus_init(
         else:
             idx = int(rng.integers(n))
         centers[j] = vectors[idx]
-        d_new = _distances_and_labels(vectors, centers[j : j + 1], metric, sq_norms)[0][:, 0]
+        d_new = _center_distances(vectors, centers[j], metric, sq_norms)
         d_min = np.minimum(d_min, d_new)
     return centers
 
@@ -423,7 +449,10 @@ def kmeans_train(
             converged = True
             break
 
-        order = np.argsort(labels, kind="stable")
+        # a stable sort is one permutation whatever the key dtype; int16 keys
+        # get numpy's radix sort
+        keys = labels.astype(np.int16) if k <= np.iinfo(np.int16).max else labels
+        order = np.argsort(keys, kind="stable")
         bounds = np.concatenate(([0], np.cumsum(counts)))
         sums = np.zeros((k, data.shape[1]), dtype=float)
         for j in np.nonzero(counts)[0]:

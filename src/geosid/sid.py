@@ -9,7 +9,8 @@ All orderings tie-break on the POI id so results are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import repeat
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -114,45 +115,92 @@ def group_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SidIndex:
-    """Immutable two-way view of a POI -> SID assignment.
+    """Immutable two-way view of a POI -> SID assignment, held as columns.
 
-    Groups POIs by the bare triple; group member lists are sorted by POI id.
+    ``ids`` is the POI ids in ascending order and ``codes`` the aligned
+    read-only (N, 3) int64 triples. Every distinct triple has one shared
+    :class:`Sid`, which all of its POIs map to, so an index builds one
+    ``Sid`` per triple, not one per POI. Groups hold POIs by triple;
+    member lists are sorted by POI id.
+
+    Build it from a mapping, ``SidIndex({poi_id: sid})``, or from columns,
+    ``SidIndex(ids, codes)``: POI ids in any order and an (N, 3) integer
+    array in the same order. The index holds bare triples, so a mapped
+    ``Sid`` with a layer-4 ordinal is rejected.
     """
 
-    def __init__(self, assignments: Mapping[str, Sid]):
-        if not assignments:
+    def __init__(
+        self, assignments: Mapping[str, Sid] | Sequence[str], codes: np.ndarray | None = None
+    ):
+        if codes is None:
+            sids = list(assignments.values())
+            if any(sid.has_layer4 for sid in sids):
+                raise ValueError("SidIndex holds bare triples; got a SID with a layer-4 ordinal")
+            codes = np.array([sid.key for sid in sids], dtype=np.int64).reshape(len(sids), 3)
+        ids = list(assignments)
+        n = len(ids)
+        if n == 0:
             raise ValueError("SidIndex needs at least one assignment")
-        by_poi: dict[str, Sid] = {}
-        groups: dict[tuple[int, int, int], list[str]] = {}
-        for poi_id in sorted(assignments):
-            sid = assignments[poi_id]
-            by_poi[poi_id] = sid
-            groups.setdefault(sid.key, []).append(poi_id)
-        self._by_poi = by_poi
-        self._groups = {key: tuple(members) for key, members in groups.items()}
+        codes = np.asarray(codes)
+        if codes.shape != (n, 3) or not np.issubdtype(codes.dtype, np.integer):
+            raise ValueError(f"codes must be an ({n}, 3) integer array, got {codes.dtype} {codes.shape}")
+        if np.any(codes < 0):
+            raise ValueError("SID codes must be non-negative")
+        order = sorted(range(n), key=ids.__getitem__)
+        self.ids = tuple([ids[i] for i in order])
+        self.codes = codes.astype(np.int64, copy=False)[order]
+        self.codes.flags.writeable = False
+        triples, rows_group = group_codes(self.codes)
+        columns = triples.T.tolist()
+        self._sids = np.empty(len(triples), dtype=object)
+        self._sids[:] = list(map(Sid, *columns))
+        self._slot = dict(zip(zip(*columns), range(len(triples))))
+        self._by_poi = dict(zip(self.ids, self._sids[rows_group].tolist()))
+        if len(self._by_poi) != n:
+            dup = next(a for a, b in zip(self.ids, self.ids[1:]) if a == b)
+            raise ValueError(f"duplicate POI id {dup!r}")
+        self._members = np.argsort(rows_group, kind="stable")
+        self._bounds = np.concatenate(([0], np.cumsum(np.bincount(rows_group))))
 
     def sid_of(self, poi_id: str) -> Sid:
         return self._by_poi[poi_id]
 
+    def sids_for(self, codes: np.ndarray) -> list[Sid]:
+        """The shared ``Sid`` of each row of an (N, 3) code array; rows
+        whose triple the index lacks get a new ``Sid``."""
+        columns = codes.T.tolist()
+        slots = np.fromiter(
+            map(self._slot.get, zip(*columns), repeat(-1)), dtype=np.int64, count=codes.shape[0]
+        )
+        out = self._sids[slots].tolist()
+        for row in np.flatnonzero(slots < 0).tolist():
+            out[row] = Sid(columns[0][row], columns[1][row], columns[2][row])
+        return out
+
+    def _group_members(self, slot: int) -> tuple[str, ...]:
+        rows = self._members[self._bounds[slot] : self._bounds[slot + 1]]
+        return tuple([self.ids[row] for row in rows.tolist()])
+
     def group(self, sid: Sid) -> tuple[str, ...]:
         """POI ids sharing the triple of ``sid``, sorted by id."""
-        try:
-            return self._groups[sid.key]
-        except KeyError:
-            raise EmptySidGroupError(f"no POIs carry SID {sid.key}") from None
+        slot = self._slot.get(sid.key)
+        if slot is None:
+            raise EmptySidGroupError(f"no POIs carry SID {sid.key}")
+        return self._group_members(slot)
 
     def groups(self) -> Iterable[tuple[tuple[int, int, int], tuple[str, ...]]]:
         """All (triple, members) pairs in ascending triple order."""
-        return sorted(self._groups.items())
+        return [(sid.key, self._group_members(slot)) for slot, sid in enumerate(self._sids)]
 
     def __len__(self) -> int:
-        return len(self._by_poi)
+        return len(self.ids)
 
     def __contains__(self, poi_id: str) -> bool:
         return poi_id in self._by_poi
 
     @property
     def assignments(self) -> dict[str, Sid]:
+        """POI id -> shared ``Sid``, in ascending id order."""
         return dict(self._by_poi)
 
 

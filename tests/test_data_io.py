@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -139,6 +141,41 @@ class TestCodebookArtifact:
         assert loaded == artifact
         save_codebook(loaded, tmp_path / "cb2.bin")
         assert (tmp_path / "cb2.bin").read_bytes() == path.read_bytes()
+
+    def test_column_index_saves_mapping_bytes(self, tmp_path):
+        from_mapping = _tiny_artifact()
+        index = SidIndex(["b", "a"], np.array([[1, 0, 0], [0, 0, 1]]))
+        from_columns = CodebookArtifact(
+            from_mapping.config, from_mapping.layers, {}, from_mapping.geo_third, index
+        )
+        assert from_columns == from_mapping
+        save_codebook(from_mapping, tmp_path / "mapping.bin")
+        save_codebook(from_columns, tmp_path / "columns.bin")
+        assert (tmp_path / "columns.bin").read_bytes() == (tmp_path / "mapping.bin").read_bytes()
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ([], "non-empty"),
+            ([["a", 0, 0]], r"\[id, j1, j2, j3\]"),
+            ([["a", 0, 0, -1]], "non-negative"),
+            ([["a", 0, 0, 1.5]], "integer"),
+            ([["a", 0, 0, 1], ["a", 1, 0, 0]], "duplicate"),
+        ],
+    )
+    def test_bad_assignment_rows_rejected(self, tmp_path, rows, match):
+        path = tmp_path / "cb.bin"
+        save_codebook(_tiny_artifact(), path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + header_len])
+        header["assignments"] = rows
+        header_bytes = json.dumps(header).encode()
+        body = raw[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes
+        body += raw[16 + header_len : -8]
+        path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+        with pytest.raises(CodebookFormatError, match=match):
+            load_codebook(path)
 
     def test_dimension_consistency_enforced(self):
         cfg = TrainConfig(layer_sizes=(2, 2, 2), seed=1)

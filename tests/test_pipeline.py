@@ -6,6 +6,7 @@ from oracles import lloyd_oracle
 import geosid.pipeline
 from geosid.data_io import CodebookArtifact, PoiRecord, SynthConfig, generate_synthetic
 from geosid.geo import AntimeridianWarning, GeoPoint
+from geosid.metrics import build_quant_report
 from geosid.pipeline import (
     DEFAULT_SWEEP_GRID,
     SweepGrid,
@@ -19,6 +20,7 @@ from geosid.pipeline import (
     sweep_alpha_beta,
 )
 from geosid.quantizer import TrainConfig, kmeans_plus_plus_init
+from geosid.sid import Sid, SidIndex
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +125,47 @@ class TestRun:
         with pytest.warns(AntimeridianWarning):
             run(pois, embeddings, TrainConfig(layer_sizes=(1, 1, 2), seed=0))
 
+    def test_shared_sid_per_triple(self, small_corpus, monkeypatch):
+        pois, embeddings = small_corpus
+        perm = np.random.default_rng(2).permutation(len(pois))
+        pois, embeddings = [pois[i] for i in perm], embeddings[perm]
+        labels = []
+        real_layer, real_third = geosid.pipeline.quantize_layer, geosid.pipeline.train_third_layer
+
+        def layer(*args, **kwargs):
+            out = real_layer(*args, **kwargs)
+            labels.append(out[1])
+            return out
+
+        def third(*args, **kwargs):
+            out = real_third(*args, **kwargs)
+            labels.append(out[1])
+            return out
+
+        monkeypatch.setattr(geosid.pipeline, "quantize_layer", layer)
+        monkeypatch.setattr(geosid.pipeline, "train_third_layer", third)
+        res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=1))
+        by_triple = {}
+        for row, poi in enumerate(pois):
+            sid = res.assignments[poi.id]
+            assert sid == Sid(*(int(j[row]) for j in labels))
+            assert sid is res.artifact.sid_index.sid_of(poi.id)
+            assert by_triple.setdefault(sid.key, sid) is sid
+        assert len(by_triple) < len(pois)
+
+    def test_report_in_poi_id_order(self):
+        # rows out of id order: the report must sum group centroids in id
+        # order, as the report of the saved assignments does
+        pois, embeddings = generate_synthetic(
+            SynthConfig(n_semantic_clusters=8, pois_per_cluster=300, embedding_dim=16, seed=6)
+        )
+        perm = np.random.default_rng(6).permutation(len(pois))
+        pois, embeddings = [pois[i] for i in perm], embeddings[perm]
+        cfg = TrainConfig(layer_sizes=(4, 4, 4), seed=6, max_iters=10)
+        res = run(pois, embeddings, cfg)
+        locations = {poi.id: poi.location for poi in pois}
+        assert res.report == build_quant_report(res.assignments, locations, cfg.layer_sizes)
+
     def test_d_scale_override_respected(self, small_corpus):
         pois, embeddings = small_corpus
         res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=2, d_scale_km=55.0))
@@ -185,6 +228,30 @@ class TestAssignWithCodebook:
             sid_index=res.artifact.sid_index,
         )
         assert len(assign_with_codebook(bare, pois, embeddings)) == len(pois)
+
+    def test_triples_absent_from_training(self, small_corpus):
+        pois, embeddings = small_corpus
+        res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=11))
+        full = res.artifact.sid_index
+        kept = full.groups()[0][1]  # the index keeps one triple only
+        partial = SidIndex(kept, np.array([full.sid_of(pid).key for pid in kept]))
+        artifact = CodebookArtifact(
+            config=res.artifact.config,
+            layers=res.artifact.layers,
+            geo_second=res.artifact.geo_second,
+            geo_third=res.artifact.geo_third,
+            sid_index=partial,
+        )
+        got = assign_with_codebook(artifact, pois, embeddings)
+        want = assign_with_codebook(res.artifact, pois, embeddings)
+        assert got == want
+        assert list(got) == [p.id for p in pois]
+        shared = partial.sid_of(kept[0])
+        known = [pid for pid, sid in got.items() if sid == shared]
+        unknown = [pid for pid, sid in got.items() if sid != shared]
+        assert known and unknown
+        assert all(got[pid] is shared for pid in known)
+        assert all(got[pid] is not want[pid] for pid in unknown)
 
     def test_frame_cell_outside_layer_sizes_rejected(self, small_corpus):
         pois, embeddings = small_corpus

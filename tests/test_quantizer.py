@@ -13,7 +13,10 @@ from geosid.quantizer import (
     CodebookLayer,
     DegenerateCentroidError,
     TrainConfig,
+    _center_distances,
+    _cosine_similarities,
     _distances_and_labels,
+    _gram,
     _row_sq_norms,
     assign,
     assign_cosine,
@@ -320,6 +323,58 @@ class TestPrecomputedNorms:
         )
         assert np.array_equal(own, expected)
         assert np.array_equal(given, expected)
+
+
+def _masked_cosine(vectors, centroids, vector_sq_norms):
+    """The cosine kernel as a masked divide into a zeroed buffer: the
+    reference the in-place division must match bit for bit."""
+    gram = _gram(vectors, centroids)
+    centroid_sq_norms = _row_sq_norms(centroids)
+    denom = np.sqrt(vector_sq_norms)[:, None] * np.sqrt(centroid_sq_norms)[None, :]
+    sims = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0.0)
+    sims[:, centroid_sq_norms == 0.0] = -2.0
+    return sims
+
+
+class TestCosineKernel:
+    """In-place cosine division against the masked-divide formula, on
+    finite input."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(21)
+        data = rng.normal(size=(64, 6))
+        data[[0, 9]] = 0.0  # zero rows
+        data[10] *= 1e-160  # squared norm in the subnormal range
+        data[11] *= 1e-162  # squared norm underflows to 0, inner products do not
+        data[12] *= 1e150  # large but finite squared norm
+        centroids = rng.normal(size=(5, 6))
+        centroids[1] = 0.0  # zero centroid
+        centroids[3] *= 1e-160
+        tiny = centroids.copy()
+        tiny[4] *= 1e-162
+        yield data, centroids
+        yield data, centroids[:1]  # K = 1
+        yield data, centroids[1:2]  # K = 1, zero centroid
+        yield data, tiny
+        yield data[:1], centroids  # N = 1
+        yield data[10:12], tiny
+
+    def test_bit_equal_to_masked_divide(self):
+        for vectors, centroids in self._cases():
+            norms = _row_sq_norms(vectors)
+            got = _cosine_similarities(vectors, centroids, norms)
+            want = _masked_cosine(vectors, centroids, norms)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
+    def test_center_distances_is_the_one_centroid_column(self, metric):
+        for vectors, centroids in self._cases():
+            norms = _row_sq_norms(vectors)
+            for center in centroids:
+                got = _center_distances(vectors, center, metric, norms)
+                want = _distances_and_labels(vectors, center[None, :], metric, norms)[0][:, 0]
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestNextResiduals:

@@ -117,6 +117,68 @@ class TestSidIndex:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             SidIndex({})
+        with pytest.raises(ValueError):
+            SidIndex([], np.empty((0, 3), dtype=np.int64))
+
+    @given(
+        st.dictionaries(
+            st.text(min_size=1, max_size=4),
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)),
+            min_size=1,
+            max_size=30,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_columns_equal_mapping(self, mapping, random):
+        ids = list(mapping)
+        random.shuffle(ids)
+        columns = SidIndex(ids, np.array([mapping[pid] for pid in ids]).reshape(len(ids), 3))
+        mapped = _index(mapping)
+        members = {}
+        for pid in sorted(mapping):
+            members.setdefault(mapping[pid], []).append(pid)
+        for index in (columns, mapped):
+            assert index.ids == tuple(sorted(mapping))
+            assert index.codes.tolist() == [list(mapping[pid]) for pid in index.ids]
+            assert len(index) == len(mapping)
+            assert index.assignments == {pid: Sid(*t) for pid, t in mapping.items()}
+            assert list(index.assignments) == sorted(mapping)
+            assert index.groups() == [(t, tuple(m)) for t, m in sorted(members.items())]
+            for pid, triple in mapping.items():
+                assert pid in index
+                assert index.sid_of(pid) == Sid(*triple)
+                assert index.group(Sid(*triple)) == tuple(members[triple])
+            assert "" not in index
+            # POIs that share a triple share one Sid
+            for pids in members.values():
+                assert all(index.sid_of(pid) is index.sid_of(pids[0]) for pid in pids)
+
+    def test_sids_for_shares_known_and_builds_unknown(self):
+        index = _index({"a": (0, 1, 2), "b": (3, 4, 5)})
+        codes = np.array([[3, 4, 5], [9, 9, 9], [0, 1, 2], [9, 9, 9], [0, 0, 0]])
+        got = index.sids_for(codes)
+        assert got == [Sid(3, 4, 5), Sid(9, 9, 9), Sid(0, 1, 2), Sid(9, 9, 9), Sid(0, 0, 0)]
+        assert got[0] is index.sid_of("b") and got[2] is index.sid_of("a")
+        assert all(type(v) is int for sid in got for v in (sid.j1, sid.j2, sid.j3))
+        assert index.sids_for(np.empty((0, 3), dtype=np.int64)) == []
+
+    @pytest.mark.parametrize(
+        "ids, codes, match",
+        [
+            (["a", "b"], [[0, 0, 0]], "integer array"),
+            (["a"], [[0, 0]], "integer array"),
+            (["a"], [[0.0, 0.0, 0.0]], "integer array"),
+            (["a"], [[0, -1, 0]], "non-negative"),
+            (["b", "a", "b"], [[0, 0, 0]] * 3, "duplicate POI id 'b'"),
+        ],
+    )
+    def test_bad_columns_rejected(self, ids, codes, match):
+        with pytest.raises(ValueError, match=match):
+            SidIndex(ids, np.array(codes))
+
+    def test_layer4_sid_rejected(self):
+        with pytest.raises(ValueError, match="layer-4"):
+            SidIndex({"a": Sid(0, 0, 0, 1)})
 
 
 class TestHardCodeLayer4:
