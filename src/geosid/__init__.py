@@ -27,7 +27,6 @@ from .georope import (
     NormalizedGeo,
     build_geo_vector,
     mirror_transform,
-    normalize_geo,
     rotate_blockwise,
     verify_distance_shift_identity,
     verify_inner_product_identity,
@@ -41,12 +40,8 @@ from .quantizer import (
     KMeansResult,
     TrainConfig,
     assign,
-    assign_cosine,
-    build_variant_vector,
     kmeans_train,
     project_residual,
-    train_hierarchy,
-    train_third_layer,
 )
 from .sid import EmptySidGroupError, Sid, SidIndex, assemble, hard_code_layer4, resolve_closest, resolve_random
 from .metrics import QuantReport, RankingCase, cur, geo_dispersion, hit_at_n, icr, ndcg_at_n

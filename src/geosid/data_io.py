@@ -279,19 +279,12 @@ class CodebookArtifact:
 
     @staticmethod
     def _check_dims(config: TrainConfig, layers: tuple[CodebookLayer, ...]) -> None:
-        m = layers[0].dim
-        expect_l2 = m if config.rope_layer == "third" else enhanced_dim(config, m)
-        if layers[1].dim != expect_l2:
-            raise ValueError(
-                f"layer-2 dimension {layers[1].dim} inconsistent with config (expected {expect_l2})"
-            )
-        expect_l3 = (
-            layers[1].dim if config.rope_layer == "second" else enhanced_dim(config, layers[1].dim)
-        )
-        if layers[2].dim != expect_l3:
-            raise ValueError(
-                f"layer-3 dimension {layers[2].dim} inconsistent with config (expected {expect_l3})"
-            )
+        for level, (prev, layer) in enumerate(zip(layers, layers[1:]), start=2):
+            expect = enhanced_dim(config, prev.dim) if level in config.geo_levels else prev.dim
+            if layer.dim != expect:
+                raise ValueError(
+                    f"layer-{level} dimension {layer.dim} inconsistent with config (expected {expect})"
+                )
         for level, (layer, k) in enumerate(zip(layers, config.layer_sizes), start=1):
             if layer.k != k:
                 raise ValueError(f"layer {level} has {layer.k} centroids, config says {k}")

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import LocalPolar
-
 __all__ = [
     "ALL_ATTRIBUTES",
     "ATTR_DIST_FWD",
@@ -33,7 +31,6 @@ __all__ = [
     "NormalizedGeo",
     "build_geo_vector",
     "mirror_transform",
-    "normalize_geo",
     "normalize_geo_batch",
     "rotate_blockwise",
     "verify_distance_shift_identity",
@@ -99,22 +96,15 @@ def mirror_transform(v: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
     return np.concatenate([rotate_blockwise(v, theta), rotate_blockwise(v, -theta)], axis=-1)
 
 
-def normalize_geo(polar: LocalPolar, d_scale_km: float) -> NormalizedGeo:
+def normalize_geo_batch(
+    d_km: np.ndarray, sigma_rad: np.ndarray, d_scale_km: float | np.ndarray
+) -> NormalizedGeo:
     """Turn local polar coordinates into rotation angles.
 
     The azimuth is halved so the full circle (-pi, pi] lands in
     (-pi/2, pi/2]; the distance is mapped linearly onto [0, pi], saturating
-    at ``d_scale_km``.
+    at ``d_scale_km``, which may vary per entry.
     """
-    if not d_scale_km > 0:
-        raise ValueError(f"d_scale_km must be positive, got {d_scale_km}")
-    return NormalizedGeo(polar.sigma / 2.0, np.pi * min(polar.d / d_scale_km, 1.0))
-
-
-def normalize_geo_batch(
-    d_km: np.ndarray, sigma_rad: np.ndarray, d_scale_km: float | np.ndarray
-) -> NormalizedGeo:
-    """Vectorized :func:`normalize_geo`; ``d_scale_km`` may vary per entry."""
     scale = np.asarray(d_scale_km, dtype=float)
     if not np.all(scale > 0):
         raise ValueError("d_scale_km must be positive")

@@ -1,10 +1,12 @@
 """End-to-end training runs, ablation comparisons, and hyperparameter sweeps.
 
-A run trains the two semantic layers, derives each cluster's geographic
-frame (centroid plus distance scale, frozen into the artifact for later
-assignment of unseen POIs), builds the variant-specific enhanced vectors
-at the configured integration layer, trains the third layer, and scores
-the resulting SID assignment.
+Training and replay encode a POI through one layer walk: each level takes
+the previous level's residuals, geo-enhanced first when the configuration
+says so (``TrainConfig.geo_levels``), then clusters them. A run fits every
+level and derives each cluster's geographic frame (centroid plus distance
+scale, frozen into the artifact); replay assigns against the artifact's
+layers and frames, so unseen POIs are encoded the way training encoded
+its own.
 
 ``rope_layer`` placement: ``third`` (default) enhances second-layer
 residuals using per-(j1, j2) geo frames; ``second`` enhances first-layer
@@ -26,19 +28,17 @@ from typing import Sequence
 
 import numpy as np
 
+from . import quantizer
 from .data_io import ClusterGeo, CodebookArtifact, PoiRecord
 from .geo import GeoPoint, group_centroids, local_polar
 from .metrics import QuantReport, quant_report
 from .quantizer import (
-    ROPE_LAYER_BOTH,
-    ROPE_LAYER_SECOND,
     ROPE_LAYER_THIRD,
+    CodebookLayer,
     TrainConfig,
     assign,
     build_variant_matrix,
     next_residuals,
-    quantize_layer,
-    train_third_layer,
 )
 from .sid import Sid, SidIndex, check_codes, group_codes
 
@@ -115,12 +115,22 @@ class RunResult:
     config: TrainConfig
 
 
-def _coordinates(pois: Sequence[PoiRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Latitude and longitude columns of the POIs, in degrees."""
+def _columns(
+    pois: Sequence[PoiRecord], embeddings: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float64 embedding matrix and the latitude and longitude columns
+    (degrees) of the POIs. Rejects a matrix that does not have one row per
+    POI, or a non-finite row, naming its POI."""
+    data = np.ascontiguousarray(embeddings, dtype=np.float64)
+    if data.ndim != 2 or data.shape[0] != len(pois):
+        raise ValueError(f"embedding matrix shape {data.shape} does not match {len(pois)} POIs")
+    if not np.isfinite(data).all():
+        row = int(np.argmin(np.isfinite(data).all(axis=1)))
+        raise ValueError(f"non-finite embedding for POI {pois[row].id!r}")
     n = len(pois)
     lat = np.fromiter((poi.location.lat for poi in pois), dtype=float, count=n)
     lon = np.fromiter((poi.location.lon for poi in pois), dtype=float, count=n)
-    return lat, lon
+    return data, lat, lon
 
 
 def _cluster_frames(
@@ -152,6 +162,51 @@ def _cluster_frames(
     return frames, d_km, sigma, cluster_scale[groups]
 
 
+def _walk_layers(
+    data: np.ndarray,
+    lat: np.ndarray,
+    lon: np.ndarray,
+    cfg: TrainConfig,
+    artifact: CodebookArtifact | None = None,
+) -> tuple[np.ndarray, tuple[CodebookLayer, ...], tuple[dict, dict]]:
+    """Encode every row level by level: fit the levels, or replay ``artifact``.
+
+    Level l takes the residuals of level l-1, geo-enhanced in the frame of
+    each row's (j1, ..., j_{l-1}) cell if l is in ``cfg.geo_levels``.
+    Fitting derives the frames from the rows and trains level l with seed
+    ``[cfg.seed, l - 1]``; replay reads the artifact's frames and layers.
+    Returns the (N, L) codes, the layers and the level-2 and level-3 frame
+    maps (empty on replay).
+    """
+    codes = np.empty((data.shape[0], len(cfg.layer_sizes)), dtype=np.int64)
+    layers, frames, x = [], [{}, {}], data
+    for col, k in enumerate(cfg.layer_sizes):
+        level = col + 1
+        if level in cfg.geo_levels:
+            with _stage(f"layer-{level} geo enhancement"):
+                if artifact is None:
+                    frames[col - 1], d_km, sigma, scale = _cluster_frames(
+                        codes[:, :col], lat, lon, cfg.d_scale_km
+                    )
+                else:
+                    table = (artifact.second_frames, artifact.third_frames)[col - 1]
+                    d_km, sigma, scale = table.polar(codes[:, :col], lat, lon)
+                x = build_variant_matrix(x, d_km, sigma, cfg, scale)
+        with _stage(f"layer-{level} clustering"):
+            if artifact is None:
+                fit = quantizer.kmeans_train(
+                    x, k, metric=cfg.metric, seed=[cfg.seed, col], max_iters=cfg.max_iters, tol=cfg.tol
+                )
+                layer, codes[:, col] = fit.layer, fit.labels
+            else:
+                layer = artifact.layers[col]
+                codes[:, col] = assign(x, layer)
+            if level < len(cfg.layer_sizes):
+                x = next_residuals(x, layer.centroids[codes[:, col]], cfg.metric)
+        layers.append(layer)
+    return codes, tuple(layers), (frames[0], frames[1])
+
+
 def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> RunResult:
     """Train the full three-layer codebook and score the assignment.
 
@@ -160,43 +215,12 @@ def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> 
     t0 = time.perf_counter()
     if len(cfg.layer_sizes) != 3:
         raise ValueError(f"the 3-layer SID pipeline needs exactly 3 layer sizes, got {cfg.layer_sizes}")
-    data = np.ascontiguousarray(embeddings, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] != len(pois):
-        raise ValueError(f"embedding matrix shape {data.shape} does not match {len(pois)} POIs")
+    data, lat, lon = _columns(pois, embeddings)
     if data.shape[1] % 2 != 0:
         raise ValueError(f"embedding dimension must be even, got {data.shape[1]}")
-    lat, lon = _coordinates(pois)
-    k1, k2, k3 = cfg.layer_sizes
-    geo_second: dict = {}
-    geo_third: dict = {}
-
-    with _stage("layer-1 clustering"):
-        layer1, j1, r1 = quantize_layer(
-            data, k1, metric=cfg.metric, seed=[cfg.seed, 0], max_iters=cfg.max_iters, tol=cfg.tol
-        )
-
-    l2_input = r1
-    if cfg.uses_geo and cfg.rope_layer in (ROPE_LAYER_SECOND, ROPE_LAYER_BOTH):
-        with _stage("layer-2 geo enhancement"):
-            geo_second, d_km, sig, scale = _cluster_frames(j1[:, None], lat, lon, cfg.d_scale_km)
-            l2_input = build_variant_matrix(r1, d_km, sig, cfg, scale)
-    with _stage("layer-2 clustering"):
-        layer2, j2, r2 = quantize_layer(
-            l2_input, k2, metric=cfg.metric, seed=[cfg.seed, 1], max_iters=cfg.max_iters, tol=cfg.tol
-        )
-
-    l3_input = r2
-    if cfg.uses_geo and cfg.rope_layer in (ROPE_LAYER_THIRD, ROPE_LAYER_BOTH):
-        with _stage("layer-3 geo enhancement"):
-            geo_third, d_km, sig, scale = _cluster_frames(
-                np.stack([j1, j2], axis=1), lat, lon, cfg.d_scale_km
-            )
-            l3_input = build_variant_matrix(r2, d_km, sig, cfg, scale)
-    with _stage("layer-3 clustering"):
-        layer3, j3 = train_third_layer(l3_input, k3, cfg)
+    codes, layers, (geo_second, geo_third) = _walk_layers(data, lat, lon, cfg)
 
     with _stage("sid assembly"):
-        codes = np.stack([j1, j2, j3], axis=1)
         check_codes(codes, cfg.layer_sizes)
         ids = [poi.id for poi in pois]
         by_id = sorted(range(len(ids)), key=ids.__getitem__)
@@ -205,7 +229,7 @@ def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> 
         report = quant_report(index.codes, lat[by_id], lon[by_id], cfg.layer_sizes)
         artifact = CodebookArtifact(
             config=cfg,
-            layers=(layer1, layer2, layer3),
+            layers=layers,
             geo_second=geo_second,
             geo_third=geo_third,
             sid_index=index,
@@ -231,31 +255,12 @@ def assign_with_codebook(
     only triples the index lacks get new ones.
     """
     cfg = artifact.config
-    data = np.ascontiguousarray(embeddings, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] != len(pois):
-        raise ValueError(f"embedding matrix shape {data.shape} does not match {len(pois)} POIs")
+    data, lat, lon = _columns(pois, embeddings)
     if data.shape[1] != artifact.layers[0].dim:
         raise ValueError(
             f"embedding dimension {data.shape[1]} != codebook dimension {artifact.layers[0].dim}"
         )
-    lat, lon = _coordinates(pois)
-
-    j1 = np.atleast_1d(assign(data, artifact.layers[0]))
-    r1 = next_residuals(data, artifact.layers[0].centroids[j1], cfg.metric)
-
-    l2_input = r1
-    if cfg.uses_geo and cfg.rope_layer in (ROPE_LAYER_SECOND, ROPE_LAYER_BOTH):
-        d_km, sig, scale = artifact.second_frames.polar(j1[:, None], lat, lon)
-        l2_input = build_variant_matrix(r1, d_km, sig, cfg, scale)
-    j2 = np.atleast_1d(assign(l2_input, artifact.layers[1]))
-    r2 = next_residuals(l2_input, artifact.layers[1].centroids[j2], cfg.metric)
-
-    l3_input = r2
-    if cfg.uses_geo and cfg.rope_layer in (ROPE_LAYER_THIRD, ROPE_LAYER_BOTH):
-        d_km, sig, scale = artifact.third_frames.polar(np.stack([j1, j2], axis=1), lat, lon)
-        l3_input = build_variant_matrix(r2, d_km, sig, cfg, scale)
-    j3 = np.atleast_1d(assign(l3_input, artifact.layers[2]))
-    codes = np.stack([j1, j2, j3], axis=1)
+    codes, _, _ = _walk_layers(data, lat, lon, cfg, artifact)
     check_codes(codes, cfg.layer_sizes)
     return dict(zip(map(attrgetter("id"), pois), artifact.sid_index.sids_for(codes)))
 

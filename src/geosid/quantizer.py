@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import LocalPolar
 from .georope import (
     ALL_ATTRIBUTES,
     build_geo_vector,
@@ -40,21 +39,15 @@ __all__ = [
     "VARIANT_PRO_GEO",
     "CodebookLayer",
     "DegenerateCentroidError",
-    "HierarchyResult",
     "KMeansResult",
     "TrainConfig",
     "assign",
-    "assign_cosine",
     "build_variant_matrix",
-    "build_variant_vector",
     "enhanced_dim",
     "kmeans_plus_plus_init",
     "kmeans_train",
     "next_residuals",
     "project_residual",
-    "quantize_layer",
-    "train_hierarchy",
-    "train_third_layer",
 ]
 
 METRIC_COSINE = "cosine"
@@ -72,6 +65,7 @@ ROPE_LAYER_SECOND = "second"
 ROPE_LAYER_THIRD = "third"
 ROPE_LAYER_BOTH = "both"
 ROPE_LAYERS = (ROPE_LAYER_SECOND, ROPE_LAYER_THIRD, ROPE_LAYER_BOTH)
+_GEO_LEVELS = {ROPE_LAYER_SECOND: (2,), ROPE_LAYER_THIRD: (3,), ROPE_LAYER_BOTH: (2, 3)}
 
 
 class DegenerateCentroidError(ValueError):
@@ -164,6 +158,14 @@ class TrainConfig:
     @property
     def uses_geo(self) -> bool:
         return self.variant in (VARIANT_PRO_GEO, VARIANT_CONCAT, VARIANT_ADD)
+
+    @property
+    def geo_levels(self) -> tuple[int, ...]:
+        """Clustering levels (1-based) whose input is geo-enhanced: 3 for
+        ``rope_layer`` third, 2 for second, both for both; none for the
+        plain variants. Level l is enhanced in the frame of each row's
+        (j1, ..., j_{l-1}) cell."""
+        return _GEO_LEVELS[self.rope_layer] if self.uses_geo else ()
 
 
 def _row_sq_norms(x: np.ndarray) -> np.ndarray:
@@ -261,7 +263,8 @@ def _center_distances(
 
 def assign(r: np.ndarray, layer: CodebookLayer) -> int | np.ndarray:
     """Best centroid index for a residual (or rows of residuals) under the
-    layer's metric."""
+    layer's metric. Ties break to the lowest index; on a cosine layer a
+    zero-norm residual carries no direction and gets index 0."""
     r = np.asarray(r, dtype=float)
     single = r.ndim == 1
     rows = np.atleast_2d(r)
@@ -269,17 +272,6 @@ def assign(r: np.ndarray, layer: CodebookLayer) -> int | np.ndarray:
         raise ValueError(f"residual dimension {rows.shape[1]} != layer dimension {layer.dim}")
     _, labels = _distances_and_labels(rows, layer.centroids, layer.metric)
     return int(labels[0]) if single else labels
-
-
-def assign_cosine(r: np.ndarray, layer: CodebookLayer) -> int | np.ndarray:
-    """Cosine-similarity argmax assignment.
-
-    Ties break to the lowest index; a zero-norm residual carries no
-    direction and is assigned index 0.
-    """
-    if layer.metric != METRIC_COSINE:
-        raise ValueError(f"assign_cosine needs a cosine layer, got metric {layer.metric!r}")
-    return assign(r, layer)
 
 
 def project_residual(r: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -507,79 +499,6 @@ def next_residuals(vectors: np.ndarray, assigned: np.ndarray, metric: str) -> np
     return residuals
 
 
-def quantize_layer(
-    vectors: np.ndarray,
-    k: int,
-    metric: str = METRIC_COSINE,
-    seed=0,
-    max_iters: int = 100,
-    tol: float = 1e-4,
-) -> tuple[CodebookLayer, np.ndarray, np.ndarray]:
-    """Train one layer and emit (layer, labels, residuals for the next)."""
-    result = kmeans_train(vectors, k, metric=metric, seed=seed, max_iters=max_iters, tol=tol)
-    assigned = result.layer.centroids[result.labels]
-    return result.layer, result.labels, next_residuals(vectors, assigned, metric)
-
-
-@dataclass(frozen=True, eq=False)
-class HierarchyResult:
-    """Layers 1-2 of the codebook with per-row codes and final residuals."""
-
-    layers: tuple[CodebookLayer, CodebookLayer]
-    codes: np.ndarray  # (N, 2) int
-    residuals: np.ndarray  # (N, M) second-layer residuals
-
-
-def train_hierarchy(embeddings: np.ndarray, cfg: TrainConfig) -> HierarchyResult:
-    """Two quantization rounds over the raw embeddings.
-
-    Validates the corpus (finite values, even dimension — the rotary stage
-    needs coordinate pairs) and returns the trained layers, the (j1, j2)
-    code pairs, and the second-layer residuals. Layer l draws its seeding
-    PRNG from (cfg.seed, l), so later stages never perturb earlier ones.
-    """
-    data = np.ascontiguousarray(embeddings, dtype=float)
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise ValueError(f"embeddings must be a non-empty (N, M) matrix, got shape {data.shape}")
-    if data.shape[1] % 2 != 0:
-        raise ValueError(
-            f"embedding dimension must be even for the rotary stage, got M={data.shape[1]}"
-        )
-    if not np.all(np.isfinite(data)):
-        raise ValueError("embeddings contain non-finite values")
-
-    layers = []
-    codes = np.empty((data.shape[0], 2), dtype=int)
-    residuals = data
-    for level in range(2):
-        layer, labels, residuals = quantize_layer(
-            residuals,
-            cfg.layer_sizes[level],
-            metric=cfg.metric,
-            seed=[cfg.seed, level],
-            max_iters=cfg.max_iters,
-            tol=cfg.tol,
-        )
-        layers.append(layer)
-        codes[:, level] = labels
-    return HierarchyResult(layers=(layers[0], layers[1]), codes=codes, residuals=residuals)
-
-
-def train_third_layer(
-    enhanced: np.ndarray, k: int, cfg: TrainConfig
-) -> tuple[CodebookLayer, np.ndarray]:
-    """Cluster the geo-enhanced vectors into the third-level codes."""
-    result = kmeans_train(
-        enhanced,
-        k,
-        metric=cfg.metric,
-        seed=[cfg.seed, 2],
-        max_iters=cfg.max_iters,
-        tol=cfg.tol,
-    )
-    return result.layer, result.labels
-
-
 def enhanced_dim(cfg: TrainConfig, m: int) -> int:
     """Output dimension of the geo enhancement applied to m-dim residuals:
     one rotated m-block per active attribute for pro_geo (a lone attribute
@@ -622,17 +541,3 @@ def build_variant_matrix(
         tiled[:, 1::2] = s_norm[:, None]
         return rows + tiled
     raise ValueError(f"unknown variant {cfg.variant!r}")
-
-
-def build_variant_vector(
-    r2: np.ndarray, polar: LocalPolar, cfg: TrainConfig, d_scale_km: float
-) -> np.ndarray:
-    """Single-vector form of :func:`build_variant_matrix`."""
-    out = build_variant_matrix(
-        np.asarray(r2, dtype=float)[None, :],
-        np.array([polar.d]),
-        np.array([polar.sigma]),
-        cfg,
-        d_scale_km,
-    )
-    return out[0]

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geosid.geo import LocalPolar
 from geosid.georope import (
     ALL_ATTRIBUTES,
     NormalizedGeo,
     build_geo_vector,
     mirror_transform,
-    normalize_geo,
     normalize_geo_batch,
     rotate_blockwise,
     verify_distance_shift_identity,
@@ -86,35 +84,38 @@ class TestMirrorTransform:
 
 class TestNormalizeGeo:
     def test_boundary_sigma(self):
-        geo = normalize_geo(LocalPolar(0.0, math.pi), d_scale_km=5.0)
+        geo = normalize_geo_batch(0.0, math.pi, d_scale_km=5.0)
         assert geo.sigma_norm == pytest.approx(math.pi / 2)
         assert geo.d_norm == 0.0
 
     def test_full_scale_distance(self):
-        geo = normalize_geo(LocalPolar(5.0, 0.0), d_scale_km=5.0)
+        geo = normalize_geo_batch(5.0, 0.0, d_scale_km=5.0)
         assert geo.sigma_norm == 0.0
         assert geo.d_norm == pytest.approx(math.pi)
 
     def test_linear_maps(self):
-        geo = normalize_geo(LocalPolar(2.5, -math.pi / 2), d_scale_km=5.0)
+        geo = normalize_geo_batch(2.5, -math.pi / 2, d_scale_km=5.0)
         assert geo.sigma_norm == pytest.approx(-math.pi / 4)
         assert geo.d_norm == pytest.approx(math.pi / 2)
 
     def test_saturation_beyond_scale(self):
-        assert normalize_geo(LocalPolar(50.0, 0.0), 5.0).d_norm == pytest.approx(math.pi)
+        assert normalize_geo_batch(50.0, 0.0, 5.0).d_norm == pytest.approx(math.pi)
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
-            normalize_geo(LocalPolar(1.0, 0.0), 0.0)
+            normalize_geo_batch(1.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            normalize_geo_batch(np.ones(2), np.zeros(2), np.array([5.0, -1.0]))
 
     def test_batch_matches_scalar(self):
-        d = np.array([1.0, 7.0])
-        s = np.array([0.5, -2.0])
-        batch = normalize_geo_batch(d, s, 5.0)
-        for i in range(2):
-            single = normalize_geo(LocalPolar(d[i], s[i]), 5.0)
-            assert batch.sigma_norm[i] == single.sigma_norm
-            assert batch.d_norm[i] == single.d_norm
+        d = np.array([1.0, 7.0, 3.0])
+        s = np.array([0.5, -2.0, 3.0])
+        scale = np.array([5.0, 5.0, 2.0])
+        batch = normalize_geo_batch(d, s, scale)
+        for i in range(3):
+            # the per-entry formula, bit for bit
+            assert batch.sigma_norm[i] == s[i] / 2.0
+            assert batch.d_norm[i] == math.pi * min(d[i] / scale[i], 1.0)
 
 
 class TestBuildGeoVector:

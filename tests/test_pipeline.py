@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ def small_corpus():
 
 
 class TestRun:
-    def test_two_poi_geo_split(self):
+    def test_two_poi_geo_split(self, kmeans_fits):
         # one semantic cluster, one POI in each of two blobs 40 km apart
         u = np.array([1.0, 0.0, 0.0, 0.0])
         w = np.array([0.0, 1.0, 0.0, 0.0])
@@ -51,7 +53,7 @@ class TestRun:
         # the third layer must agree with a brute-force 2-clustering of the
         # same enhanced vectors from the same seeding
         layer3 = res.artifact.layers[2]
-        enhanced = _third_layer_input(pois, embeddings, cfg)
+        enhanced = _third_layer_input(pois, embeddings, cfg, kmeans_fits)
         init = kmeans_plus_plus_init(enhanced, 2, "cosine", np.random.default_rng([cfg.seed, 2]))
         labels, _, _ = lloyd_oracle(enhanced, 2, "cosine", init)
         got = [res.assignments["east"].j3, res.assignments["west"].j3]
@@ -125,26 +127,12 @@ class TestRun:
         with pytest.warns(AntimeridianWarning):
             run(pois, embeddings, TrainConfig(layer_sizes=(1, 1, 2), seed=0))
 
-    def test_shared_sid_per_triple(self, small_corpus, monkeypatch):
+    def test_shared_sid_per_triple(self, small_corpus, kmeans_fits):
         pois, embeddings = small_corpus
         perm = np.random.default_rng(2).permutation(len(pois))
         pois, embeddings = [pois[i] for i in perm], embeddings[perm]
-        labels = []
-        real_layer, real_third = geosid.pipeline.quantize_layer, geosid.pipeline.train_third_layer
-
-        def layer(*args, **kwargs):
-            out = real_layer(*args, **kwargs)
-            labels.append(out[1])
-            return out
-
-        def third(*args, **kwargs):
-            out = real_third(*args, **kwargs)
-            labels.append(out[1])
-            return out
-
-        monkeypatch.setattr(geosid.pipeline, "quantize_layer", layer)
-        monkeypatch.setattr(geosid.pipeline, "train_third_layer", third)
         res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=1))
+        labels = [fit.labels for _, fit in kmeans_fits]
         by_triple = {}
         for row, poi in enumerate(pois):
             sid = res.assignments[poi.id]
@@ -166,6 +154,19 @@ class TestRun:
         locations = {poi.id: poi.location for poi in pois}
         assert res.report == build_quant_report(res.assignments, locations, cfg.layer_sizes)
 
+    def test_odd_dimension_rejected(self, small_corpus):
+        pois, embeddings = small_corpus
+        with pytest.raises(ValueError, match="even"):
+            run(pois, embeddings[:, :7], TrainConfig(layer_sizes=(2, 2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_embedding_names_poi(self, small_corpus, bad):
+        pois, embeddings = small_corpus
+        embeddings = embeddings.copy()
+        embeddings[[5, 9]] = bad
+        with pytest.raises(ValueError, match=re.escape(f"non-finite embedding for POI {pois[5].id!r}")):
+            run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=1))
+
     def test_d_scale_override_respected(self, small_corpus):
         pois, embeddings = small_corpus
         res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=2, d_scale_km=55.0))
@@ -180,6 +181,30 @@ class TestAssignWithCodebook:
         agree = sum(back[p.id] == res.assignments[p.id] for p in pois)
         # float32 storage rounding may flip a marginal point, nothing more
         assert agree >= len(pois) - 1
+
+    @pytest.mark.parametrize("rope", ["second", "third", "both"])
+    @pytest.mark.parametrize("variant", ["pro_geo", "concat_geo", "add_geo"])
+    def test_replays_geo_variants(self, small_corpus, variant, rope):
+        pois, embeddings = small_corpus
+        # K2, K3 > 2: at (2, 2, 2) pro_geo assigns the same with or without frames
+        cfg = TrainConfig(layer_sizes=(2, 3, 6), seed=11, variant=variant, rope_layer=rope)
+        res = run(pois, embeddings, cfg)
+        whole = assign_with_codebook(res.artifact, pois, embeddings)
+        agree = sum(whole[p.id] == res.assignments[p.id] for p in pois)
+        assert agree >= len(pois) - 1
+        rows = {}
+        for i in range(len(pois)):
+            rows.update(assign_with_codebook(res.artifact, pois[i : i + 1], embeddings[i : i + 1]))
+        assert rows == whole
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_embedding_names_poi(self, small_corpus, bad):
+        pois, embeddings = small_corpus
+        res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=11))
+        embeddings = embeddings.copy()
+        embeddings[[5, 9]] = bad
+        with pytest.raises(ValueError, match=re.escape(f"non-finite embedding for POI {pois[5].id!r}")):
+            assign_with_codebook(res.artifact, pois, embeddings)
 
     def test_neutral_frame_for_unseen_cells(self, small_corpus, monkeypatch):
         pois, embeddings = small_corpus
@@ -409,13 +434,20 @@ def test_config_label_mentions_variant():
     assert "rope=second" in config_label(TrainConfig(rope_layer="second"))
 
 
-def _third_layer_input(pois, embeddings, cfg):
-    """Recompute the enhanced third-layer input the way run() builds it."""
+def _third_layer_input(pois, embeddings, cfg, fits):
+    """Recompute run()'s third-layer input from its recorded level-1 and
+    level-2 fits, and check that run() fed level 3 exactly that."""
     from geosid.pipeline import _cluster_frames
-    from geosid.quantizer import build_variant_matrix, train_hierarchy
+    from geosid.quantizer import build_variant_matrix, next_residuals
 
-    hierarchy = train_hierarchy(embeddings, cfg)
+    (_, fit1), (x2, fit2), (x3, _) = fits
+    r1 = next_residuals(embeddings, fit1.layer.centroids[fit1.labels], cfg.metric)
+    assert np.array_equal(x2, r1)
+    r2 = next_residuals(r1, fit2.layer.centroids[fit2.labels], cfg.metric)
     lat = np.array([p.location.lat for p in pois])
     lon = np.array([p.location.lon for p in pois])
-    _, d_km, sigma, scale = _cluster_frames(hierarchy.codes, lat, lon, cfg.d_scale_km)
-    return build_variant_matrix(hierarchy.residuals, d_km, sigma, cfg, scale)
+    codes = np.stack([fit1.labels, fit2.labels], axis=1)
+    _, d_km, sigma, scale = _cluster_frames(codes, lat, lon, cfg.d_scale_km)
+    enhanced = build_variant_matrix(r2, d_km, sigma, cfg, scale)
+    assert np.array_equal(x3, enhanced)
+    return enhanced

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from oracles import lloyd_oracle
 
-from geosid.geo import LocalPolar
+from geosid.pipeline import _walk_layers
 from geosid.quantizer import (
     METRIC_COSINE,
     METRIC_EUCLIDEAN,
@@ -19,17 +19,12 @@ from geosid.quantizer import (
     _gram,
     _row_sq_norms,
     assign,
-    assign_cosine,
     build_variant_matrix,
-    build_variant_vector,
     enhanced_dim,
     kmeans_plus_plus_init,
     kmeans_train,
     next_residuals,
     project_residual,
-    quantize_layer,
-    train_hierarchy,
-    train_third_layer,
 )
 
 
@@ -63,6 +58,13 @@ class TestTrainConfig:
     def test_euclidean_metric(self):
         assert TrainConfig(variant="rq_kmeans_euclidean").metric == METRIC_EUCLIDEAN
 
+    @pytest.mark.parametrize("rope,levels", [("third", (3,)), ("second", (2,)), ("both", (2, 3))])
+    def test_geo_levels(self, rope, levels):
+        for variant in ("pro_geo", "concat_geo", "add_geo"):
+            assert TrainConfig(variant=variant, rope_layer=rope).geo_levels == levels
+        for variant in ("cosine_only", "rq_kmeans_euclidean"):
+            assert TrainConfig(variant=variant, rope_layer=rope).geo_levels == ()
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -84,35 +86,32 @@ class TestTrainConfig:
 
 
 class TestAssignCosine:
+    """``assign`` on a cosine layer."""
+
     layer = CodebookLayer(centroids=np.array([[1.0, 0.0], [0.0, 1.0]]))
 
     def test_exact_match(self):
-        assert assign_cosine(np.array([1.0, 0.0]), self.layer) == 0
+        assert assign(np.array([1.0, 0.0]), self.layer) == 0
 
     def test_tie_breaks_to_lowest_index(self):
         tie_layer = CodebookLayer(centroids=np.array([[2.0, 0.0], [0.0, 3.0]]))
-        assert assign_cosine(np.array([1.0, 1.0]), tie_layer) == 0
+        assert assign(np.array([1.0, 1.0]), tie_layer) == 0
 
     def test_zero_residual_convention(self):
-        assert assign_cosine(np.array([0.0, 0.0]), self.layer) == 0
+        assert assign(np.array([0.0, 0.0]), self.layer) == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            assign_cosine(np.array([1.0, 0.0, 0.0]), self.layer)
-
-    def test_rejects_euclidean_layer(self):
-        layer = CodebookLayer(centroids=np.eye(2), metric=METRIC_EUCLIDEAN)
-        with pytest.raises(ValueError):
-            assign_cosine(np.array([1.0, 0.0]), layer)
+            assign(np.array([1.0, 0.0, 0.0]), self.layer)
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     def test_scale_invariance(self, lam):
         r = np.array([0.6, -0.8])
-        assert assign_cosine(lam * r, self.layer) == assign_cosine(r, self.layer)
+        assert assign(lam * r, self.layer) == assign(r, self.layer)
 
     def test_batch_form(self):
         rows = np.array([[1.0, 0.1], [0.1, 1.0]])
-        labels = assign_cosine(rows, self.layer)
+        labels = assign(rows, self.layer)
         assert labels.tolist() == [0, 1]
 
     def test_euclidean_assign(self):
@@ -396,50 +395,56 @@ class TestNextResiduals:
         assert np.allclose(out[1], [0.0, 0.0])
 
 
+def _fit_walk(data, cfg):
+    """Training walk over rows that all sit at one point."""
+    zeros = np.zeros(data.shape[0])
+    return _walk_layers(np.asarray(data, dtype=float), zeros, zeros, cfg)
+
+
 class TestTrainHierarchy:
-    def test_orthogonal_pair(self):
-        cfg = TrainConfig(layer_sizes=(2, 1, 1), seed=0)
-        h = train_hierarchy(np.array([[1.0, 0.0], [0.0, 1.0]]), cfg)
-        assert h.codes[0, 0] != h.codes[1, 0]
+    """The residual chain of a training walk: level l is fitted with seed
+    [seed, l - 1] on the residuals of level l - 1."""
+
+    def test_orthogonal_pair(self, kmeans_fits):
+        cfg = TrainConfig(layer_sizes=(2, 1, 1), seed=0, variant="cosine_only")
+        codes, _, _ = _fit_walk(np.array([[1.0, 0.0], [0.0, 1.0]]), cfg)
+        assert codes[0, 0] != codes[1, 0]
         # each point equals its own layer-1 centroid, so residuals vanish
-        assert np.allclose(h.residuals, 0.0)
+        assert np.allclose(kmeans_fits[1][0], 0.0)
 
-    def test_single_poi(self):
-        h = train_hierarchy(np.array([[3.0, 4.0]]), TrainConfig(layer_sizes=(1, 1, 1), seed=0))
-        assert h.codes.tolist() == [[0, 0]]
-        assert np.allclose(h.residuals, 0.0)
+    def test_single_poi(self, kmeans_fits):
+        cfg = TrainConfig(layer_sizes=(1, 1, 1), seed=0, variant="cosine_only")
+        codes, _, _ = _fit_walk(np.array([[3.0, 4.0]]), cfg)
+        assert codes.tolist() == [[0, 0, 0]]
+        assert np.allclose(kmeans_fits[1][0], 0.0)
 
-    def test_determinism(self):
+    def test_determinism(self, kmeans_fits):
         data = np.random.default_rng(9).normal(size=(30, 4))
         cfg = TrainConfig(layer_sizes=(3, 3, 3), seed=7)
-        a = train_hierarchy(data, cfg)
-        b = train_hierarchy(data, cfg)
-        assert np.array_equal(a.codes, b.codes)
-        assert np.array_equal(a.residuals, b.residuals)
-        for la, lb in zip(a.layers, b.layers):
+        codes_a, layers_a, frames_a = _fit_walk(data, cfg)
+        codes_b, layers_b, frames_b = _fit_walk(data, cfg)
+        assert np.array_equal(codes_a, codes_b)
+        assert frames_a == frames_b
+        for la, lb in zip(layers_a, layers_b):
             assert np.array_equal(la.centroids, lb.centroids)
+        for (xa, _), (xb, _) in zip(kmeans_fits[:3], kmeans_fits[3:]):
+            assert np.array_equal(xa, xb)
+        assert [fit.labels.tolist() for _, fit in kmeans_fits[:3]] == codes_a.T.tolist()
 
-    def test_projection_orthogonality_invariant(self):
+    def test_projection_orthogonality_invariant(self, kmeans_fits):
         data = np.random.default_rng(3).normal(size=(25, 6))
-        cfg = TrainConfig(layer_sizes=(3, 3, 3), seed=1)
-        h = train_hierarchy(data, cfg)
-        assigned = h.layers[1].centroids[h.codes[:, 1]]
-        dots = np.abs(np.sum(h.residuals * assigned, axis=1))
+        cfg = TrainConfig(layer_sizes=(3, 3, 3), seed=1, variant="cosine_only")
+        codes, layers, _ = _fit_walk(data, cfg)
+        residuals = kmeans_fits[2][0]  # level-3 input: the level-2 residuals
+        assigned = layers[1].centroids[codes[:, 1]]
+        dots = np.abs(np.sum(residuals * assigned, axis=1))
         bound = 1e-9 * np.linalg.norm(data, axis=1) * np.linalg.norm(assigned, axis=1) + 1e-15
         assert np.all(dots <= bound)
 
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            train_hierarchy(np.ones((4, 3)), TrainConfig(layer_sizes=(2, 2, 2)))
-
-    def test_nonfinite_rejected(self):
-        data = np.ones((4, 2))
-        data[1, 0] = np.nan
-        with pytest.raises(ValueError):
-            train_hierarchy(data, TrainConfig(layer_sizes=(2, 2, 2)))
-
 
 class TestTrainThirdLayer:
+    """The third level: k-means over the geo-enhanced vectors, seeded [seed, 2]."""
+
     def test_antipodal_angles_separate(self):
         # two POIs with the same residual but opposite azimuth rotations
         from geosid.georope import NormalizedGeo, build_geo_vector
@@ -447,29 +452,31 @@ class TestTrainThirdLayer:
         r2 = np.array([1.0, 0.5, -0.5, 2.0])
         east = build_geo_vector(r2, NormalizedGeo(math.pi / 4, 1.0), 0.5, 0.5)
         west = build_geo_vector(r2, NormalizedGeo(-math.pi / 4, 1.0), 0.5, 0.5)
-        layer, labels = train_third_layer(np.stack([east, west]), 2, TrainConfig(layer_sizes=(1, 1, 2)))
+        labels = kmeans_train(np.stack([east, west]), 2, seed=[0, 2]).labels
         assert labels[0] != labels[1]
 
     def test_k1_collapses(self):
         data = np.random.default_rng(0).normal(size=(10, 4))
-        _, labels = train_third_layer(data, 1, TrainConfig(layer_sizes=(1, 1, 1)))
-        assert np.all(labels == 0)
+        assert np.all(kmeans_train(data, 1, seed=[0, 2]).labels == 0)
 
     def test_add_variant_keeps_dimension(self):
         cfg = TrainConfig(layer_sizes=(1, 1, 2), variant="add_geo")
         r2 = np.random.default_rng(1).normal(size=(6, 4))
         enhanced = build_variant_matrix(r2, np.ones(6), np.zeros(6), cfg, 5.0)
         assert enhanced.shape == (6, 4)
-        layer, labels = train_third_layer(enhanced, 2, cfg)
-        assert layer.dim == 4
+        assert kmeans_train(enhanced, 2, seed=[0, 2]).layer.dim == 4
 
 
 class TestBuildVariantVector:
-    polar = LocalPolar(2.0, 0.7)
+    """One-row ``build_variant_matrix``: a residual 2 km from its frame
+    centre at azimuth 0.7 rad."""
+
+    def _one_row(self, r2, cfg, d_scale_km):
+        return build_variant_matrix(r2[None, :], np.array([2.0]), np.array([0.7]), cfg, d_scale_km)[0]
 
     def test_concat_is_m_plus_2(self):
         cfg = TrainConfig(layer_sizes=(2, 2, 2), variant="concat_geo")
-        out = build_variant_vector(np.arange(4.0), self.polar, cfg, d_scale_km=5.0)
+        out = self._one_row(np.arange(4.0), cfg, d_scale_km=5.0)
         assert out.shape == (6,)
         assert out[4] == pytest.approx(math.pi * 2.0 / 5.0)  # d_norm
         assert out[5] == pytest.approx(0.35)  # sigma_norm
@@ -477,16 +484,15 @@ class TestBuildVariantVector:
     def test_none_passthrough(self):
         cfg = TrainConfig(layer_sizes=(2, 2, 2), variant="cosine_only")
         r2 = np.arange(4.0)
-        assert np.array_equal(build_variant_vector(r2, self.polar, cfg, 5.0), r2)
+        assert np.array_equal(self._one_row(r2, cfg, 5.0), r2)
 
     def test_pro_geo_full_set_is_4m(self):
         cfg = TrainConfig(layer_sizes=(2, 2, 2), variant="pro_geo")
-        assert build_variant_vector(np.arange(4.0), self.polar, cfg, 5.0).shape == (16,)
+        assert self._one_row(np.arange(4.0), cfg, 5.0).shape == (16,)
 
     def test_add_tiles_alternately(self):
         cfg = TrainConfig(layer_sizes=(2, 2, 2), variant="add_geo")
-        r2 = np.zeros(4)
-        out = build_variant_vector(r2, self.polar, cfg, 5.0)
+        out = self._one_row(np.zeros(4), cfg, 5.0)
         d_norm = math.pi * 2.0 / 5.0
         assert np.allclose(out, [d_norm, 0.35, d_norm, 0.35])
 
@@ -494,7 +500,7 @@ class TestBuildVariantVector:
         cfg = TrainConfig(layer_sizes=(2, 2, 2))
         object.__setattr__(cfg, "variant", "mystery")
         with pytest.raises(ValueError):
-            build_variant_vector(np.arange(4.0), self.polar, cfg, 5.0)
+            self._one_row(np.arange(4.0), cfg, 5.0)
 
     @pytest.mark.parametrize(
         "variant,attrs",
@@ -510,19 +516,24 @@ class TestBuildVariantVector:
     )
     def test_width_matches_enhanced_dim(self, variant, attrs):
         cfg = TrainConfig(layer_sizes=(2, 2, 2), variant=variant, geo_attributes=attrs)
-        out = build_variant_vector(np.arange(4.0), self.polar, cfg, 5.0)
+        out = self._one_row(np.arange(4.0), cfg, 5.0)
         assert out.shape == (enhanced_dim(cfg, 4),)
 
 
 class TestQuantizeLayer:
+    """One level: ``kmeans_train``, then ``next_residuals`` against the
+    assigned centroids."""
+
     def test_euclidean_residuals_are_subtraction(self):
         data = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
-        layer, labels, residuals = quantize_layer(data, 2, metric=METRIC_EUCLIDEAN, seed=0)
-        assert np.allclose(residuals, data - layer.centroids[labels])
+        fit = kmeans_train(data, 2, metric=METRIC_EUCLIDEAN, seed=0)
+        assigned = fit.layer.centroids[fit.labels]
+        assert np.array_equal(next_residuals(data, assigned, METRIC_EUCLIDEAN), data - assigned)
 
     def test_cosine_residuals_are_projections(self):
         data = np.random.default_rng(2).normal(size=(12, 4))
-        layer, labels, residuals = quantize_layer(data, 3, metric=METRIC_COSINE, seed=0)
-        assigned = layer.centroids[labels]
+        fit = kmeans_train(data, 3, metric=METRIC_COSINE, seed=0)
+        assigned = fit.layer.centroids[fit.labels]
+        residuals = next_residuals(data, assigned, METRIC_COSINE)
         dots = np.abs(np.sum(residuals * assigned, axis=1))
         assert np.all(dots <= 1e-9 * np.linalg.norm(data, axis=1) * np.linalg.norm(assigned, axis=1))
