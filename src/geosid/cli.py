@@ -6,9 +6,9 @@ stderr. Exit codes: 0 success, 1 bad invocation or failed validation,
 2 file problems (missing, unreadable, corrupt, inconsistent).
 
 Identical arguments over identical files produce byte-identical primary
-output; anything nondeterministic (timings) is diagnostics-only. The
-environment variable GEOSID_THREADS caps worker concurrency for compare
-and sweep (0 = auto) without affecting results.
+output; anything nondeterministic (timings) is diagnostics-only. compare
+and sweep run in one thread and fit each level their configurations share
+once. The environment variable GEOSID_THREADS is only validated.
 """
 
 from __future__ import annotations

@@ -366,8 +366,30 @@ def save_codebook(artifact: CodebookArtifact, path: str | Path) -> None:
     Path(path).write_bytes(bytes(blob))
 
 
+def _why(exc: Exception) -> str:
+    return f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def _parse_frames(path, name: str, rows: list, depth: int) -> dict:
+    """Header ``name`` rows ``[j1, (j2,) lat, lon, d_scale_km]`` as a
+    cell -> ClusterGeo map, keyed by j1 (depth 1) or (j1, j2) (depth 2)."""
+    frames = {}
+    for i, row in enumerate(rows):
+        try:
+            if not isinstance(row, list) or len(row) != depth + 3:
+                raise ValueError(f"expected a list of {depth + 3} fields")
+            *cell, lat, lon, scale = row
+            key = int(cell[0]) if depth == 1 else (int(cell[0]), int(cell[1]))
+            frames[key] = ClusterGeo(GeoPoint(lat, lon), scale)
+        except (TypeError, ValueError) as exc:
+            raise CodebookFormatError(f"{path}: {name} row {i} {row!r}: {exc}") from exc
+    return frames
+
+
 def load_codebook(path: str | Path) -> CodebookArtifact:
-    """Parse and verify an artifact file; rejects tampering and truncation."""
+    """Parse and verify an artifact file; rejects tampering and truncation.
+    Every malformed entry raises CodebookFormatError naming the file and
+    the entry."""
     raw = Path(path).read_bytes()
     if len(raw) < 24:
         raise CodebookFormatError(f"{path}: truncated (only {len(raw)} bytes)")
@@ -385,48 +407,61 @@ def load_codebook(path: str | Path) -> CodebookArtifact:
     try:
         header = json.loads(raw[16:header_end].decode("utf-8"))
         config = _config_from_dict(header["config"])
-        layer_specs = header["layers"]
+        sections = [header[key] for key in ("layers", "geo_second", "geo_third", "assignments")]
+        if not all(isinstance(section, list) for section in sections):
+            raise TypeError("layers, geo_second, geo_third and assignments must be lists")
     except (ValueError, KeyError, TypeError) as exc:
-        raise CodebookFormatError(f"{path}: malformed header ({exc})") from exc
+        raise CodebookFormatError(f"{path}: malformed header ({_why(exc)})") from exc
+    layer_specs, geo_second_rows, geo_third_rows, rows = sections
 
     offset = header_end
     layers = []
-    for spec in layer_specs:
-        nbytes = 4 * spec["k"] * spec["dim"]
+    for level, spec in enumerate(layer_specs, start=1):
+        try:
+            k, dim, metric = spec["k"], spec["dim"], spec["metric"]
+            if not all(type(n) is int and n >= 1 for n in (k, dim)):
+                raise ValueError(f"k and dim must be positive integers, got {k!r} and {dim!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CodebookFormatError(f"{path}: layer {level} spec {spec!r}: {_why(exc)}") from exc
+        nbytes = 4 * k * dim
         block = raw[offset : offset + nbytes]
         if len(block) != nbytes:
             raise CodebookFormatError(f"{path}: truncated centroid block")
-        centroids = (
-            np.frombuffer(block, dtype="<f4").reshape(spec["k"], spec["dim"]).astype(np.float64)
-        )
-        layers.append(CodebookLayer(centroids=centroids, metric=spec["metric"]))
+        centroids = np.frombuffer(block, dtype="<f4").reshape(k, dim).astype(np.float64)
+        try:
+            layers.append(CodebookLayer(centroids=centroids, metric=metric))
+        except ValueError as exc:
+            raise CodebookFormatError(f"{path}: layer {level}: {exc}") from exc
         offset += nbytes
     if offset != len(raw) - 8:
         raise CodebookFormatError(f"{path}: {len(raw) - 8 - offset} unexpected trailing bytes")
 
-    geo_second = {
-        int(j1): ClusterGeo(GeoPoint(lat, lon), scale)
-        for j1, lat, lon, scale in header["geo_second"]
-    }
-    geo_third = {
-        (int(j1), int(j2)): ClusterGeo(GeoPoint(lat, lon), scale)
-        for j1, j2, lat, lon, scale in header["geo_third"]
-    }
-    rows = header["assignments"]
-    if set(map(len, rows)) != {4}:
-        raise CodebookFormatError(f"{path}: SID assignments must be non-empty [id, j1, j2, j3] rows")
+    geo_second = _parse_frames(path, "geo_second", geo_second_rows, 1)
+    geo_third = _parse_frames(path, "geo_third", geo_third_rows, 2)
+    if not rows or set(map(type, rows)) != {list} or set(map(len, rows)) != {4}:
+        bad = next((i for i, row in enumerate(rows) if not isinstance(row, list) or len(row) != 4), None)
+        where = "" if bad is None else f" (row {bad}: {rows[bad]!r})"
+        raise CodebookFormatError(f"{path}: SID assignments must be non-empty [id, j1, j2, j3] rows{where}")
     ids, *codes = zip(*rows)
+    if set(map(type, ids)) != {str} or not all(ids):
+        bad = next(i for i, poi_id in enumerate(ids) if not isinstance(poi_id, str) or not poi_id)
+        raise CodebookFormatError(
+            f"{path}: SID assignment row {bad}: POI id must be a non-empty string, got {ids[bad]!r}"
+        )
     try:
         sid_index = SidIndex(ids, np.array(codes).T)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CodebookFormatError(f"{path}: bad SID assignments ({exc})") from exc
-    return CodebookArtifact(
-        config=config,
-        layers=tuple(layers),
-        geo_second=geo_second,
-        geo_third=geo_third,
-        sid_index=sid_index,
-    )
+    try:
+        return CodebookArtifact(
+            config=config,
+            layers=tuple(layers),
+            geo_second=geo_second,
+            geo_third=geo_third,
+            sid_index=sid_index,
+        )
+    except ValueError as exc:
+        raise CodebookFormatError(f"{path}: inconsistent artifact ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -162,49 +161,139 @@ def _cluster_frames(
     return frames, d_km, sigma, cluster_scale[groups]
 
 
+@dataclass(eq=False)
+class _Walked:
+    """One distinct state of a layer walk after level l: the code column,
+    layer and frame map of each level 1..l, and the residuals that feed
+    level l+1 (None after the last level, and once level l+1's inputs are
+    built)."""
+
+    labels: tuple[np.ndarray, ...]
+    layers: tuple[CodebookLayer, ...]
+    frames: tuple[dict, ...]
+    residuals: np.ndarray | None
+
+
+def _level_input(
+    parent: _Walked,
+    lat: np.ndarray,
+    lon: np.ndarray,
+    cfg: TrainConfig,
+    level: int,
+    artifact: CodebookArtifact | None,
+) -> tuple[np.ndarray, dict]:
+    """Level ``level``'s input under ``cfg`` and its fitted frame map: the
+    parent's residuals, geo-enhanced in the frame of each row's parent cell
+    if the level is in ``cfg.geo_levels``. The map is empty on replay and
+    for a plain level."""
+    x, frames = parent.residuals, {}
+    if level in cfg.geo_levels:
+        with _stage(f"layer-{level} geo enhancement"):
+            cells = np.column_stack(parent.labels)
+            if artifact is None:
+                frames, d_km, sigma, scale = _cluster_frames(cells, lat, lon, cfg.d_scale_km)
+            else:
+                table = (artifact.second_frames, artifact.third_frames)[level - 2]
+                d_km, sigma, scale = table.polar(cells, lat, lon)
+            x = build_variant_matrix(x, d_km, sigma, cfg, scale)
+    return x, frames
+
+
+def _cluster_level(
+    parent: _Walked,
+    x: np.ndarray,
+    frames: dict,
+    cfg: TrainConfig,
+    level: int,
+    artifact: CodebookArtifact | None,
+) -> _Walked:
+    """Fit level ``level`` on ``x`` with seed ``[cfg.seed, level - 1]``, or
+    assign ``x`` to the artifact's layer; then take the residuals that feed
+    the next level, if there is one."""
+    col = level - 1
+    with _stage(f"layer-{level} clustering"):
+        if artifact is None:
+            fit = quantizer.kmeans_train(
+                x, cfg.layer_sizes[col], metric=cfg.metric, seed=[cfg.seed, col],
+                max_iters=cfg.max_iters, tol=cfg.tol,
+            )
+            layer, labels = fit.layer, fit.labels
+        else:
+            layer = artifact.layers[col]
+            labels = assign(x, layer)
+        residuals = None
+        if level < len(cfg.layer_sizes):
+            residuals = next_residuals(x, layer.centroids[labels], cfg.metric)
+    return _Walked(parent.labels + (labels,), parent.layers + (layer,), parent.frames + (frames,), residuals)
+
+
 def _walk_layers(
     data: np.ndarray,
     lat: np.ndarray,
     lon: np.ndarray,
-    cfg: TrainConfig,
+    cfgs: Sequence[TrainConfig],
     artifact: CodebookArtifact | None = None,
-) -> tuple[np.ndarray, tuple[CodebookLayer, ...], tuple[dict, dict]]:
-    """Encode every row level by level: fit the levels, or replay ``artifact``.
+) -> list[tuple[np.ndarray, tuple[CodebookLayer, ...], tuple[dict, ...]]]:
+    """Encode every row level by level under each configuration: fit the
+    levels, or replay ``artifact`` (``cfgs`` is then its one config).
 
     Level l takes the residuals of level l-1, geo-enhanced in the frame of
     each row's (j1, ..., j_{l-1}) cell if l is in ``cfg.geo_levels``.
     Fitting derives the frames from the rows and trains level l with seed
     ``[cfg.seed, l - 1]``; replay reads the artifact's frames and layers.
-    Returns the (N, L) codes, the layers and the level-2 and level-3 frame
-    maps (empty on replay).
+    Configurations with one ``cfg.prefix_key(l)`` share the state after
+    level l, so each distinct level is clustered once. Each level builds
+    its distinct inputs and releases the parent states before it fits, so
+    a single configuration holds one level input at a time. All
+    configurations have the same number of layers.
+
+    Returns, per configuration, the (N, L) codes, the layers and the frame
+    maps of levels 2..L (empty on replay and for plain levels).
     """
-    codes = np.empty((data.shape[0], len(cfg.layer_sizes)), dtype=np.int64)
-    layers, frames, x = [], [{}, {}], data
-    for col, k in enumerate(cfg.layer_sizes):
-        level = col + 1
-        if level in cfg.geo_levels:
-            with _stage(f"layer-{level} geo enhancement"):
-                if artifact is None:
-                    frames[col - 1], d_km, sigma, scale = _cluster_frames(
-                        codes[:, :col], lat, lon, cfg.d_scale_km
-                    )
-                else:
-                    table = (artifact.second_frames, artifact.third_frames)[col - 1]
-                    d_km, sigma, scale = table.polar(codes[:, :col], lat, lon)
-                x = build_variant_matrix(x, d_km, sigma, cfg, scale)
-        with _stage(f"layer-{level} clustering"):
-            if artifact is None:
-                fit = quantizer.kmeans_train(
-                    x, k, metric=cfg.metric, seed=[cfg.seed, col], max_iters=cfg.max_iters, tol=cfg.tol
-                )
-                layer, codes[:, col] = fit.layer, fit.labels
-            else:
-                layer = artifact.layers[col]
-                codes[:, col] = assign(x, layer)
-            if level < len(cfg.layer_sizes):
-                x = next_residuals(x, layer.centroids[codes[:, col]], cfg.metric)
-        layers.append(layer)
-    return codes, tuple(layers), (frames[0], frames[1])
+    states = [_Walked((), (), (), data)] * len(cfgs)
+    for level in range(1, len(cfgs[0].layer_sizes) + 1):
+        keys = [cfg.prefix_key(level) for cfg in cfgs]
+        inputs = {}  # prefix key -> (parent, input, frame map, config)
+        for key, parent, cfg in zip(keys, states, cfgs):
+            if key not in inputs:
+                inputs[key] = (parent, *_level_input(parent, lat, lon, cfg, level, artifact), cfg)
+        # no name outside this comprehension may keep a level input alive
+        for parent in [entry[0] for entry in inputs.values()]:
+            parent.residuals = None
+        walked = {key: _cluster_level(*inputs.pop(key), level, artifact) for key in list(inputs)}
+        states = [walked[key] for key in keys]
+    return [(np.column_stack(state.labels), state.layers, state.frames[1:]) for state in states]
+
+
+def _id_order(pois: Sequence[PoiRecord]) -> tuple[list[str], list[int]]:
+    """The POI ids and the row order that sorts them."""
+    ids = [poi.id for poi in pois]
+    return ids, sorted(range(len(ids)), key=ids.__getitem__)
+
+
+def _training_columns(
+    pois: Sequence[PoiRecord], embeddings: np.ndarray, cfgs: Sequence[TrainConfig]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_columns`` after the checks ``run`` makes on its configuration and
+    input: three layers, an even embedding dimension."""
+    for cfg in cfgs:
+        if len(cfg.layer_sizes) != 3:
+            raise ValueError(f"the 3-layer SID pipeline needs exactly 3 layer sizes, got {cfg.layer_sizes}")
+    data, lat, lon = _columns(pois, embeddings)
+    if data.shape[1] % 2 != 0:
+        raise ValueError(f"embedding dimension must be even, got {data.shape[1]}")
+    return data, lat, lon
+
+
+def _report(
+    codes: np.ndarray, lat: np.ndarray, lon: np.ndarray, by_id: list[int], cfg: TrainConfig
+) -> QuantReport:
+    """A run's report: its codes checked against the layer sizes, then
+    scored in POI-id row order, the order metrics.geo_dispersion sums
+    centroids in."""
+    with _stage("sid assembly"):
+        check_codes(codes, cfg.layer_sizes)
+        return quant_report(codes[by_id], lat[by_id], lon[by_id], cfg.layer_sizes)
 
 
 def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> RunResult:
@@ -213,20 +302,14 @@ def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> 
     ``assignments`` maps each POI id, in ascending id order, to the shared
     ``Sid`` of its triple; the report is computed in the same id order."""
     t0 = time.perf_counter()
-    if len(cfg.layer_sizes) != 3:
-        raise ValueError(f"the 3-layer SID pipeline needs exactly 3 layer sizes, got {cfg.layer_sizes}")
-    data, lat, lon = _columns(pois, embeddings)
-    if data.shape[1] % 2 != 0:
-        raise ValueError(f"embedding dimension must be even, got {data.shape[1]}")
-    codes, layers, (geo_second, geo_third) = _walk_layers(data, lat, lon, cfg)
-
+    data, lat, lon = _training_columns(pois, embeddings, [cfg])
+    [(codes, layers, (geo_second, geo_third))] = _walk_layers(data, lat, lon, [cfg])
+    ids, by_id = _id_order(pois)
     with _stage("sid assembly"):
-        check_codes(codes, cfg.layer_sizes)
-        ids = [poi.id for poi in pois]
-        by_id = sorted(range(len(ids)), key=ids.__getitem__)
+        # index before report: the other order left freed heap pages that
+        # the next replay batches fault back in, about 56 per 40 batches
         index = SidIndex([ids[i] for i in by_id], codes[by_id])
-        # POI-id row order, the order metrics.geo_dispersion sums centroids in
-        report = quant_report(index.codes, lat[by_id], lon[by_id], cfg.layer_sizes)
+        report = _report(codes, lat, lon, by_id, cfg)
         artifact = CodebookArtifact(
             config=cfg,
             layers=layers,
@@ -260,14 +343,15 @@ def assign_with_codebook(
         raise ValueError(
             f"embedding dimension {data.shape[1]} != codebook dimension {artifact.layers[0].dim}"
         )
-    codes, _, _ = _walk_layers(data, lat, lon, cfg, artifact)
+    [(codes, _, _)] = _walk_layers(data, lat, lon, [cfg], artifact)
     check_codes(codes, cfg.layer_sizes)
     return dict(zip(map(attrgetter("id"), pois), artifact.sid_index.sids_for(codes)))
 
 
 def resolve_worker_count(n_tasks: int) -> int:
-    """Worker cap from GEOSID_THREADS (0 or unset = auto). Never changes
-    results, only concurrency."""
+    """Worker cap from GEOSID_THREADS (0 or unset = auto), at most
+    ``n_tasks``. ``compare`` and ``sweep_alpha_beta`` run in one thread
+    and call it only to validate the variable."""
     raw = os.environ.get("GEOSID_THREADS", "0")
     try:
         cap = int(raw)
@@ -278,6 +362,20 @@ def resolve_worker_count(n_tasks: int) -> int:
     if cap == 0:
         cap = os.cpu_count() or 1
     return max(1, min(cap, n_tasks))
+
+
+def _reports(
+    pois: Sequence[PoiRecord], embeddings: np.ndarray, cfgs: Sequence[TrainConfig]
+) -> list[QuantReport]:
+    """``run(pois, embeddings, cfg).report`` for each configuration, from
+    one layer walk over all of them, in one thread."""
+    resolve_worker_count(1)
+    data, lat, lon = _training_columns(pois, embeddings, cfgs)
+    _, by_id = _id_order(pois)
+    return [
+        _report(codes, lat, lon, by_id, cfg)
+        for cfg, (codes, _, _) in zip(cfgs, _walk_layers(data, lat, lon, cfgs))
+    ]
 
 
 def config_label(cfg: TrainConfig) -> str:
@@ -297,10 +395,14 @@ def compare(
     cfgs: Sequence[TrainConfig],
     labels: Sequence[str] | None = None,
 ) -> list[tuple[str, QuantReport]]:
-    """One report row per configuration, in input order.
+    """One report row per configuration, in input order: each row's report
+    equals ``run(pois, embeddings, cfg).report``.
 
-    Independent configurations may execute concurrently (bounded by
-    GEOSID_THREADS); rows are merged by position, never completion order.
+    All configurations walk the layers together in one thread, and a
+    level that several of them share (``TrainConfig.prefix_key``) is
+    fitted once: the four cosine variants, for one, share levels 1 and 2.
+    Only the reports are built, no artifacts. GEOSID_THREADS is validated
+    but changes nothing.
     """
     if len(cfgs) < 2:
         raise ValueError("compare needs at least 2 configurations")
@@ -315,13 +417,7 @@ def compare(
     elif len(labels) != len(cfgs):
         raise ValueError("labels must match configurations one-to-one")
 
-    workers = resolve_worker_count(len(cfgs))
-    if workers == 1:
-        results = [run(pois, embeddings, cfg) for cfg in cfgs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda cfg: run(pois, embeddings, cfg), cfgs))
-    return [(label, res.report) for label, res in zip(labels, results)]
+    return list(zip(labels, _reports(pois, embeddings, cfgs)))
 
 
 def sweep_alpha_beta(
@@ -330,14 +426,11 @@ def sweep_alpha_beta(
     grid: SweepGrid,
     base_cfg: TrainConfig,
 ) -> list[tuple[tuple[float, float], QuantReport]]:
-    """Run the base configuration once per (alpha, beta) pair."""
+    """The base configuration's report at each (alpha, beta) pair, from one
+    layer walk as in ``compare``: the levels before the first geo-enhanced
+    one are fitted once for the whole grid."""
     cfgs = [replace(base_cfg, alpha=a, beta=b) for a, b in grid.pairs]
-    labels = [f"alpha={a:g} beta={b:g}" for a, b in grid.pairs]
-    if len(cfgs) == 1:
-        rows = [(labels[0], run(pois, embeddings, cfgs[0]).report)]
-    else:
-        rows = compare(pois, embeddings, cfgs, labels=labels)
-    return [(pair, report) for pair, (_, report) in zip(grid.pairs, rows)]
+    return list(zip(grid.pairs, _reports(pois, embeddings, cfgs)))
 
 
 _TABLE_COLUMNS = ("CUR", "ICR", "Avg. Dist.", "p90 Dist.", "p95 Dist.", "Groups", "POIs")

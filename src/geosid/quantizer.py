@@ -167,6 +167,20 @@ class TrainConfig:
         (j1, ..., j_{l-1}) cell."""
         return _GEO_LEVELS[self.rope_layer] if self.uses_geo else ()
 
+    def prefix_key(self, level: int) -> tuple:
+        """Everything clustering levels 1..``level`` read from the
+        configuration: the metric, seed and stopping rule, the first
+        ``level`` layer sizes, and the enhancement settings of each
+        geo-enhanced level up to ``level``. Configurations with equal keys
+        fit those levels to the same bits, so a multi-configuration walk
+        fits them once."""
+        geo = tuple(
+            (g, self.variant, self.alpha, self.beta, self.geo_attributes, self.d_scale_km)
+            for g in self.geo_levels
+            if g <= level
+        )
+        return (self.metric, self.seed, self.max_iters, self.tol, self.layer_sizes[:level], geo)
+
 
 def _row_sq_norms(x: np.ndarray) -> np.ndarray:
     return np.sum(x * x, axis=1)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import pytest
 
@@ -187,3 +189,18 @@ class TestExitCodes:
         _train(corpus_dir, artifact)
         # corpus with different ids: stored assignments reference missing POIs
         assert main(["report", "--codebook", str(artifact), "--corpus", str(other)]) == 2
+
+    def test_malformed_codebook_header_exits_two(self, corpus_dir, tmp_path, capsys):
+        artifact = tmp_path / "cb.bin"
+        assert _train(corpus_dir, artifact) == 0
+        raw = artifact.read_bytes()
+        (header_len,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + header_len])
+        del header["layers"][1]["k"]
+        header_bytes = json.dumps(header).encode()
+        body = raw[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + raw[16 + header_len : -8]
+        artifact.write_bytes(body + hashlib.sha256(body).digest()[:8])  # checksum still valid
+        capsys.readouterr()
+        assert main(["report", "--codebook", str(artifact), "--corpus", str(corpus_dir)]) == 2
+        err = capsys.readouterr().err
+        assert str(artifact) in err and "layer 2 spec" in err and "missing 'k'" in err

@@ -132,6 +132,22 @@ def _tiny_artifact():
     return CodebookArtifact(cfg, layers, {}, geo_third, index)
 
 
+def _saved_with_header(tmp_path, edit):
+    """The tiny artifact saved with ``edit`` applied to its JSON header, and
+    the checksum recomputed, so that only the header entry is wrong."""
+    path = tmp_path / "cb.bin"
+    save_codebook(_tiny_artifact(), path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header).encode()
+    body = raw[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes
+    body += raw[16 + header_len : -8]
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+    return path
+
+
 class TestCodebookArtifact:
     def test_round_trip_bit_exact(self, tmp_path):
         artifact = _tiny_artifact()
@@ -164,18 +180,35 @@ class TestCodebookArtifact:
         ],
     )
     def test_bad_assignment_rows_rejected(self, tmp_path, rows, match):
-        path = tmp_path / "cb.bin"
-        save_codebook(_tiny_artifact(), path)
-        raw = path.read_bytes()
-        (header_len,) = struct.unpack("<Q", raw[8:16])
-        header = json.loads(raw[16 : 16 + header_len])
-        header["assignments"] = rows
-        header_bytes = json.dumps(header).encode()
-        body = raw[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes
-        body += raw[16 + header_len : -8]
-        path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+        path = _saved_with_header(tmp_path, lambda header: header.update(assignments=rows))
         with pytest.raises(CodebookFormatError, match=match):
             load_codebook(path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda h: h.pop("assignments"), r"malformed header \(missing 'assignments'\)"),
+            (lambda h: h.update(geo_third={}), "must be lists"),
+            (lambda h: h["layers"][0].pop("k"), r"layer 1 spec .*missing 'k'"),
+            (lambda h: h["layers"][1].update(k=2.0), "layer 2 spec .*positive integers"),
+            (lambda h: h["layers"][2].update(metric="manhattan"), "layer 3: unknown metric"),
+            (lambda h: h["assignments"].__setitem__(1, 7), r"\[id, j1, j2, j3\] rows \(row 1: 7\)"),
+            (lambda h: h["assignments"].__setitem__(1, [0, 1, 0, 0]), "row 1: POI id must be a non-empty string"),
+            (lambda h: h["assignments"].__setitem__(0, ["", 0, 0, 1]), "row 0: POI id must be a non-empty string"),
+            (lambda h: h["assignments"].__setitem__(1, ["b", "1", 0, 0]), "bad SID assignments .*integer"),
+            (lambda h: h["geo_third"].__setitem__(1, [1, 31.0, 111.0]), r"geo_third row 1 .*5 fields"),
+            (lambda h: h["geo_third"][0].__setitem__(4, -2.0), "geo_third row 0 .*positive"),
+            (lambda h: h["geo_third"][0].__setitem__(2, "north"), "geo_third row 0 "),
+            (lambda h: h.update(geo_second=[[0, 95.0, 10.0, 1.0]]), "geo_second row 0 .*latitude"),
+            (lambda h: h.update(geo_third=[[0, 5, 30.0, 110.0, 1.0]]), "inconsistent artifact .*outside"),
+        ],
+    )
+    def test_malformed_header_entry_named(self, tmp_path, edit, match):
+        # checksum-valid files whose header is wrong in one entry
+        path = _saved_with_header(tmp_path, edit)
+        with pytest.raises(CodebookFormatError, match=match) as info:
+            load_codebook(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_dimension_consistency_enforced(self):
         cfg = TrainConfig(layer_sizes=(2, 2, 2), seed=1)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from geosid.pipeline import (
     run,
     sweep_alpha_beta,
 )
-from geosid.quantizer import TrainConfig, kmeans_plus_plus_init
+from geosid.quantizer import ROPE_LAYERS, VARIANTS, TrainConfig, kmeans_plus_plus_init
 from geosid.sid import Sid, SidIndex
 
 
@@ -373,6 +374,40 @@ class TestCompare:
         threaded = compare(pois, embeddings, cfgs)
         assert serial == threaded
 
+    @pytest.mark.parametrize("bad", ["two_layers", "odd_dimension", "nonfinite_row"])
+    def test_keeps_run_input_checks(self, small_corpus, bad):
+        pois, embeddings = small_corpus
+        good = TrainConfig(layer_sizes=(2, 2, 2), seed=1)
+        cfg = good
+        if bad == "two_layers":
+            cfg = TrainConfig(layer_sizes=(2, 2), seed=1)
+        elif bad == "odd_dimension":
+            embeddings = embeddings[:, :7]
+        else:
+            embeddings = embeddings.copy()
+            embeddings[11, 3] = np.nan
+        with pytest.raises(ValueError) as from_run:
+            run(pois, embeddings, cfg)
+        with pytest.raises(ValueError, match=re.escape(str(from_run.value))) as from_compare:
+            compare(pois, embeddings, [good, cfg])
+        assert type(from_compare.value) is type(from_run.value)
+
+    def test_resolves_worker_count_once(self, small_corpus, monkeypatch):
+        # perfbench reads the worker count compare resolves through this
+        # module attribute
+        calls = []
+        real = geosid.pipeline.resolve_worker_count
+        monkeypatch.setattr(
+            geosid.pipeline, "resolve_worker_count", lambda n: calls.append(n) or real(n)
+        )
+        pois, embeddings = small_corpus
+        cfg = TrainConfig(layer_sizes=(2, 2, 2), seed=1)
+        compare(pois, embeddings, [cfg, replace(cfg, variant="cosine_only"), cfg])
+        assert calls == [1]
+        monkeypatch.setenv("GEOSID_THREADS", "quick")  # validated, though unused
+        with pytest.raises(ValueError, match="GEOSID_THREADS"):
+            compare(pois, embeddings, [cfg, cfg])
+
     def test_worker_count_validation(self, monkeypatch):
         monkeypatch.setenv("GEOSID_THREADS", "quick")
         with pytest.raises(ValueError):
@@ -395,6 +430,103 @@ class TestCompare:
 
         parsed = json.loads(records[0])
         assert set(parsed) == {"label", "cur", "icr", "avg_dist_km", "p90_dist_km", "p95_dist_km", "group_count", "poi_count"}
+
+
+# How each TrainConfig field enters TrainConfig.prefix_key. A new field
+# must be added to one of the two sets, so that it is never shared silently.
+_PREFIX_KEY_FIELDS = {
+    "layer_sizes", "max_iters", "tol", "seed",  # every level
+    "variant",  # the metric, and the enhancement of geo levels
+    "rope_layer",  # which levels are geo-enhanced
+    "geo_attributes", "alpha", "beta", "d_scale_km",  # geo levels
+}
+_NO_LEVEL_FIELDS: set[str] = set()  # fields no level's fit reads (none yet)
+
+_SHARE_BASE = TrainConfig(layer_sizes=(3, 4, 5), seed=1, max_iters=20)
+
+
+def _field_variations():
+    """(field, base, base with that field changed): one or more per field in
+    the prefix key. ``both`` and ``second`` bases put the geo settings on
+    level 2 too."""
+    base, both, second = (replace(_SHARE_BASE, rope_layer=r) for r in ("third", "both", "second"))
+    return [
+        ("seed", base, replace(base, seed=2)),
+        ("max_iters", base, replace(base, max_iters=1)),
+        ("tol", base, replace(base, tol=0.5)),
+        ("layer_sizes", base, replace(base, layer_sizes=(3, 4, 6))),
+        ("layer_sizes", base, replace(base, layer_sizes=(3, 5, 5))),
+        *[("variant", base, replace(base, variant=v)) for v in VARIANTS if v != base.variant],
+        *[("rope_layer", base, replace(base, rope_layer=r)) for r in ROPE_LAYERS if r != base.rope_layer],
+        ("geo_attributes", base, replace(base, geo_attributes=frozenset({"d+", "sigma+"}))),
+        ("alpha", base, replace(base, alpha=1.0)),
+        ("alpha", second, replace(second, alpha=1.0)),
+        ("beta", both, replace(both, beta=0.25)),
+        ("d_scale_km", both, replace(both, d_scale_km=2.0)),
+    ]
+
+
+class TestSharedLevels:
+    """compare and sweep fit a level once for every configuration whose
+    prefix key up to that level is equal."""
+
+    @pytest.fixture(scope="class")
+    def share_corpus(self):
+        return generate_synthetic(
+            SynthConfig(n_semantic_clusters=3, pois_per_cluster=30, embedding_dim=8, seed=4)
+        )
+
+    def test_every_field_classified(self):
+        names = {field.name for field in fields(TrainConfig)}
+        assert not _PREFIX_KEY_FIELDS & _NO_LEVEL_FIELDS
+        assert names == _PREFIX_KEY_FIELDS | _NO_LEVEL_FIELDS
+        assert {field for field, _, _ in _field_variations()} == _PREFIX_KEY_FIELDS
+
+    @pytest.mark.parametrize("field, base, varied", _field_variations())
+    def test_prefix_key_reads_field(self, field, base, varied):
+        assert base.prefix_key(3) != varied.prefix_key(3)
+        assert base.prefix_key(3) == replace(varied, **{field: getattr(base, field)}).prefix_key(3)
+
+    def test_rows_equal_independent_runs(self, share_corpus):
+        pois, embeddings = share_corpus
+        variations = _field_variations()
+        cfgs = [_SHARE_BASE, *[varied for _, _, varied in variations], _SHARE_BASE]
+        runs = {cfg: run(pois, embeddings, cfg).report for cfg in cfgs}
+        for field, base, varied in variations:
+            # else a level wrongly shared with ``base`` could not show
+            assert runs[varied] != runs[base], field
+        rows = compare(pois, embeddings, cfgs)
+        assert [report for _, report in rows] == [runs[cfg] for cfg in cfgs]
+        assert rows[0][1] == rows[-1][1] and rows[0][0] != rows[-1][0]
+
+    def test_variants_fit_nine_levels(self, small_corpus, kmeans_fits):
+        pois, embeddings = small_corpus
+        cfgs = [TrainConfig(layer_sizes=(2, 2, 2), seed=1, variant=v) for v in VARIANTS]
+        compare(pois, embeddings, cfgs)
+        # levels 1 and 2: the cosine variants and the Euclidean baseline;
+        # level 3: one fit per variant
+        assert len(kmeans_fits) == 2 + 2 + len(VARIANTS)
+
+    def test_default_sweep_fits_ten_levels(self, small_corpus, kmeans_fits):
+        pois, embeddings = small_corpus
+        base = TrainConfig(layer_sizes=(2, 2, 2), seed=2)
+        assert sweep_alpha_beta(pois, embeddings, SweepGrid(), base)
+        assert len(kmeans_fits) == 1 + 1 + len(DEFAULT_SWEEP_GRID)
+
+    def test_rope_second_shares_only_level_one(self, small_corpus, kmeans_fits):
+        pois, embeddings = small_corpus
+        third = TrainConfig(layer_sizes=(2, 3, 2), seed=1)
+        compare(pois, embeddings, [third, replace(third, rope_layer="second")])
+        # level 1 once; level 2 plain (third) and enhanced (second); level 3
+        # enhanced (third) and plain on the enhanced level-2 residuals (second)
+        assert [(x.shape[1], fit.layer.k) for x, fit in kmeans_fits] == [
+            (8, 2), (8, 3), (32, 3), (32, 2), (32, 2)
+        ]
+
+    def test_single_config_walk_fits_each_level(self, small_corpus, kmeans_fits):
+        pois, embeddings = small_corpus
+        sweep_alpha_beta(pois, embeddings, SweepGrid(pairs=((0.5, 0.5),)), TrainConfig(layer_sizes=(2, 2, 2)))
+        assert len(kmeans_fits) == 3
 
 
 class TestSweep:

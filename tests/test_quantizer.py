@@ -398,7 +398,8 @@ class TestNextResiduals:
 def _fit_walk(data, cfg):
     """Training walk over rows that all sit at one point."""
     zeros = np.zeros(data.shape[0])
-    return _walk_layers(np.asarray(data, dtype=float), zeros, zeros, cfg)
+    [walked] = _walk_layers(np.asarray(data, dtype=float), zeros, zeros, [cfg])
+    return walked
 
 
 class TestTrainHierarchy:
