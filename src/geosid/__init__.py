@@ -48,6 +48,7 @@ from .metrics import QuantReport, RankingCase, cur, geo_dispersion, hit_at_n, ic
 from .data_io import (
     CodebookArtifact,
     CodebookFormatError,
+    Corpus,
     CorpusFormatError,
     PoiRecord,
     SynthConfig,

@@ -15,6 +15,11 @@ On-disk layout:
 
 Storage is 32-bit; computation stays double precision. Artifact centroids
 are snapped to float32 at construction so save/load round-trips bit-exact.
+
+``load_corpus`` builds columns, not per-POI objects: it checks each
+metadata line in file order as it collects ids, coordinates and
+categories, and returns them as a :class:`Corpus`, which the pipeline
+reads directly and which still reads as a sequence of :class:`PoiRecord`.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import hashlib
 import json
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -37,6 +43,7 @@ __all__ = [
     "ClusterGeo",
     "CodebookArtifact",
     "CodebookFormatError",
+    "Corpus",
     "CorpusFormatError",
     "FrameTable",
     "PoiRecord",
@@ -71,6 +78,65 @@ class PoiRecord:
     location: GeoPoint
     embedding_ref: int
     category: str | None = None
+
+
+def _wrap_lon(lon: np.ndarray) -> np.ndarray:
+    """Longitudes wrapped into (-180, +180] in place, with the steps and
+    the bits of the scalar wrap in :class:`GeoPoint`: an exact fmod, then
+    one +-360."""
+    np.fmod(lon, 360.0, out=lon)
+    lon[lon <= -180.0] += 360.0
+    lon[lon > 180.0] -= 360.0
+    return lon
+
+
+class Corpus(Sequence[PoiRecord]):
+    """A corpus's POI metadata as columns, in file row order: the ids, the
+    float64 latitude and longitude in degrees and each POI's category or
+    None. Longitudes are wrapped into (-180, +180] at construction, as
+    :class:`GeoPoint` wraps them, and invalid coordinates are rejected.
+
+    It reads as a sequence of :class:`PoiRecord`. Indexing and iteration
+    build one record per access, with its row as ``embedding_ref``; a
+    slice gives a list of records. The columns are read-only.
+    """
+
+    def __init__(
+        self,
+        ids: list[str],
+        lat: np.ndarray,
+        lon: np.ndarray,
+        category: list[str | None] | None = None,
+    ):
+        n = len(ids)
+        lat, lon = np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64)
+        category = [None] * n if category is None else category
+        if lat.shape != (n,) or lon.shape != (n,) or len(category) != n:
+            raise ValueError(f"corpus columns must all have {n} rows")
+        bad = ~(np.abs(lat) <= 90.0) | ~np.isfinite(lon)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(f"POI {ids[row]!r}: invalid coordinates ({lat[row]}, {lon[row]})")
+        self.ids, self.lat, self.lon, self.category = ids, lat, _wrap_lon(lon), category
+        lat.flags.writeable = False
+        lon.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _record(self, row: int) -> PoiRecord:
+        location = GeoPoint(float(self.lat[row]), float(self.lon[row]))
+        return PoiRecord(self.ids[row], location, row, self.category[row])
+
+    def __getitem__(self, index):
+        rows = range(len(self.ids))[index]
+        if isinstance(rows, range):
+            return [self._record(row) for row in rows]
+        return self._record(rows)
+
+    def __iter__(self):
+        locations = map(GeoPoint, self.lat.tolist(), self.lon.tolist())
+        return map(PoiRecord, self.ids, locations, range(len(self.ids)), self.category)
 
 
 @dataclass(frozen=True)
@@ -134,7 +200,7 @@ class FrameTable:
         return d_km, sigma, scale
 
 
-def _digest64(data: bytes) -> bytes:
+def _digest64(data: bytes | memoryview) -> bytes:
     return hashlib.sha256(data).digest()[:8]
 
 
@@ -170,28 +236,41 @@ def save_corpus(
 
 def load_corpus(
     poi_path: str | Path, embedding_path: str | Path
-) -> tuple[list[PoiRecord], np.ndarray]:
+) -> tuple[Corpus, np.ndarray]:
     """Parse and validate a corpus; embeddings come back float64.
 
     Every rejection names the offending record or line: duplicate ids,
     invalid coordinates, non-finite embedding values, count mismatches.
+    Lines are checked in file order, so the first faulty one is named.
     """
-    pois: list[PoiRecord] = []
+    ids: list[str] = []
+    lats: list[float] = []
+    lons: list[float] = []
+    categories: list[str | None] = []
     seen: set[str] = set()
+    scan = json.JSONDecoder().scan_once
+    inf = math.inf
     with open(poi_path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{poi_path}, line {line_no}: invalid JSON ({exc})") from exc
+                rec, end = scan(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line):  # not one whole JSON value; json.loads says why
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusFormatError(f"{poi_path}, line {line_no}: invalid JSON ({exc})") from exc
             try:
                 poi_id = rec["id"]
                 if not isinstance(poi_id, str) or not poi_id:
                     raise ValueError("id must be a non-empty string")
-                location = GeoPoint(float(rec["lat"]), float(rec["lon"]))
+                lat, lon = float(rec["lat"]), float(rec["lon"])
+                if not (-90.0 <= lat <= 90.0 and -inf < lon < inf):
+                    GeoPoint(lat, lon)  # raises, naming the fault
             except (KeyError, TypeError, ValueError) as exc:
                 rid = rec.get("id", f"(line {line_no})") if isinstance(rec, dict) else line_no
                 raise CorpusFormatError(f"{poi_path}, record {rid}: {exc}") from exc
@@ -201,7 +280,10 @@ def load_corpus(
             category = rec.get("category")
             if category is not None and not isinstance(category, str):
                 raise CorpusFormatError(f"{poi_path}, record {poi_id!r}: category must be a string")
-            pois.append(PoiRecord(poi_id, location, len(pois), category))
+            ids.append(poi_id)
+            lats.append(lat)
+            lons.append(lon)
+            categories.append(category)
 
     raw = Path(embedding_path).read_bytes()
     if len(raw) < 24:
@@ -216,21 +298,21 @@ def load_corpus(
         raise CorpusFormatError(
             f"{embedding_path}: expected {expected} bytes for {n}x{m}, found {len(raw)}"
         )
-    if raw[-8:] != _digest64(raw[:-8]):
+    if raw[-8:] != _digest64(memoryview(raw)[:-8]):
         raise CorpusFormatError(f"{embedding_path}: checksum mismatch, file corrupt")
-    if n != len(pois):
+    if n != len(ids):
         raise CorpusFormatError(
-            f"embedding count {n} does not match {len(pois)} records in {poi_path}"
+            f"embedding count {n} does not match {len(ids)} records in {poi_path}"
         )
     if m % 2 != 0:
         raise CorpusFormatError(f"{embedding_path}: embedding dimension {m} must be even")
-    matrix = np.frombuffer(raw[16:-8], dtype="<f4").reshape(n, m).astype(np.float64)
+    matrix = np.frombuffer(raw, dtype="<f4", count=n * m, offset=16).reshape(n, m).astype(np.float64)
     bad = np.nonzero(~np.all(np.isfinite(matrix), axis=1))[0]
     if bad.size:
         raise CorpusFormatError(
-            f"{embedding_path}: non-finite embedding for record {pois[bad[0]].id!r}"
+            f"{embedding_path}: non-finite embedding for record {ids[bad[0]]!r}"
         )
-    return pois, matrix
+    return Corpus(ids, lats, lons, categories), matrix
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,17 @@ frames from the layer-2-enhanced clusters.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from . import quantizer
-from .data_io import ClusterGeo, CodebookArtifact, PoiRecord
+from .data_io import ClusterGeo, CodebookArtifact, Corpus, PoiRecord
 from .geo import GeoPoint, group_centroids, local_polar
 from .metrics import QuantReport, quant_report
 from .quantizer import (
@@ -98,8 +98,10 @@ class SweepGrid:
         pairs = tuple((float(a), float(b)) for a, b in self.pairs)
         if not pairs:
             raise ValueError("sweep grid must be non-empty")
-        if any(a < 0 or b < 0 for a, b in pairs):
-            raise ValueError("sweep grid entries must be >= 0")
+        for pair in pairs:
+            for name, value in zip(("alpha", "beta"), pair):
+                if not (math.isfinite(value) and value >= 0):
+                    raise ValueError(f"sweep grid {name} must be finite and >= 0, got {value} in {pair}")
         object.__setattr__(self, "pairs", pairs)
 
 
@@ -116,20 +118,25 @@ class RunResult:
 
 def _columns(
     pois: Sequence[PoiRecord], embeddings: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The float64 embedding matrix and the latitude and longitude columns
-    (degrees) of the POIs. Rejects a matrix that does not have one row per
-    POI, or a non-finite row, naming its POI."""
+) -> tuple[Sequence[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The input boundary: the POI ids, the float64 embedding matrix and
+    the latitude and longitude columns (degrees). A :class:`Corpus` hands
+    over its own columns; any other sequence of records is read record by
+    record. Rejects a matrix that does not have one row per POI, or a
+    non-finite row, naming its POI."""
     data = np.ascontiguousarray(embeddings, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] != len(pois):
         raise ValueError(f"embedding matrix shape {data.shape} does not match {len(pois)} POIs")
     if not np.isfinite(data).all():
         row = int(np.argmin(np.isfinite(data).all(axis=1)))
         raise ValueError(f"non-finite embedding for POI {pois[row].id!r}")
+    if isinstance(pois, Corpus):
+        return pois.ids, data, pois.lat, pois.lon
     n = len(pois)
+    ids = [poi.id for poi in pois]
     lat = np.fromiter((poi.location.lat for poi in pois), dtype=float, count=n)
     lon = np.fromiter((poi.location.lon for poi in pois), dtype=float, count=n)
-    return data, lat, lon
+    return ids, data, lat, lon
 
 
 def _cluster_frames(
@@ -265,28 +272,27 @@ def _walk_layers(
     return [(np.column_stack(state.labels), state.layers, state.frames[1:]) for state in states]
 
 
-def _id_order(pois: Sequence[PoiRecord]) -> tuple[list[str], list[int]]:
-    """The POI ids and the row order that sorts them."""
-    ids = [poi.id for poi in pois]
-    return ids, sorted(range(len(ids)), key=ids.__getitem__)
+def _id_order(ids: Sequence[str]) -> np.ndarray:
+    """The int64 row order that sorts the POI ids."""
+    return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
 
 
 def _training_columns(
     pois: Sequence[PoiRecord], embeddings: np.ndarray, cfgs: Sequence[TrainConfig]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[Sequence[str], np.ndarray, np.ndarray, np.ndarray]:
     """``_columns`` after the checks ``run`` makes on its configuration and
     input: three layers, an even embedding dimension."""
     for cfg in cfgs:
         if len(cfg.layer_sizes) != 3:
             raise ValueError(f"the 3-layer SID pipeline needs exactly 3 layer sizes, got {cfg.layer_sizes}")
-    data, lat, lon = _columns(pois, embeddings)
+    ids, data, lat, lon = _columns(pois, embeddings)
     if data.shape[1] % 2 != 0:
         raise ValueError(f"embedding dimension must be even, got {data.shape[1]}")
-    return data, lat, lon
+    return ids, data, lat, lon
 
 
 def _report(
-    codes: np.ndarray, lat: np.ndarray, lon: np.ndarray, by_id: list[int], cfg: TrainConfig
+    codes: np.ndarray, lat: np.ndarray, lon: np.ndarray, by_id: np.ndarray, cfg: TrainConfig
 ) -> QuantReport:
     """A run's report: its codes checked against the layer sizes, then
     scored in POI-id row order, the order metrics.geo_dispersion sums
@@ -299,16 +305,18 @@ def _report(
 def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> RunResult:
     """Train the full three-layer codebook and score the assignment.
 
-    ``assignments`` maps each POI id, in ascending id order, to the shared
-    ``Sid`` of its triple; the report is computed in the same id order."""
+    ``pois`` is a :class:`Corpus` or any sequence of :class:`PoiRecord`
+    whose rows match ``embeddings``. ``assignments`` maps each POI id, in
+    ascending id order, to the shared ``Sid`` of its triple; the report is
+    computed in the same id order."""
     t0 = time.perf_counter()
-    data, lat, lon = _training_columns(pois, embeddings, [cfg])
+    ids, data, lat, lon = _training_columns(pois, embeddings, [cfg])
     [(codes, layers, (geo_second, geo_third))] = _walk_layers(data, lat, lon, [cfg])
-    ids, by_id = _id_order(pois)
+    by_id = _id_order(ids)
     with _stage("sid assembly"):
         # index before report: the other order left freed heap pages that
         # the next replay batches fault back in, about 56 per 40 batches
-        index = SidIndex([ids[i] for i in by_id], codes[by_id])
+        index = SidIndex([ids[i] for i in by_id.tolist()], codes[by_id])
         report = _report(codes, lat, lon, by_id, cfg)
         artifact = CodebookArtifact(
             config=cfg,
@@ -335,17 +343,18 @@ def assign_with_codebook(
     that never occurred during training gets a neutral frame (zero angle
     and distance, so the rotary stage degenerates to mirror duplication).
     The returned SIDs are the artifact index's shared ``Sid`` objects;
-    only triples the index lacks get new ones.
+    only triples the index lacks get new ones. ``pois`` is a
+    :class:`Corpus` or any sequence of :class:`PoiRecord`.
     """
     cfg = artifact.config
-    data, lat, lon = _columns(pois, embeddings)
+    ids, data, lat, lon = _columns(pois, embeddings)
     if data.shape[1] != artifact.layers[0].dim:
         raise ValueError(
             f"embedding dimension {data.shape[1]} != codebook dimension {artifact.layers[0].dim}"
         )
     [(codes, _, _)] = _walk_layers(data, lat, lon, [cfg], artifact)
     check_codes(codes, cfg.layer_sizes)
-    return dict(zip(map(attrgetter("id"), pois), artifact.sid_index.sids_for(codes)))
+    return dict(zip(ids, artifact.sid_index.sids_for(codes)))
 
 
 def resolve_worker_count(n_tasks: int) -> int:
@@ -370,8 +379,8 @@ def _reports(
     """``run(pois, embeddings, cfg).report`` for each configuration, from
     one layer walk over all of them, in one thread."""
     resolve_worker_count(1)
-    data, lat, lon = _training_columns(pois, embeddings, cfgs)
-    _, by_id = _id_order(pois)
+    ids, data, lat, lon = _training_columns(pois, embeddings, cfgs)
+    by_id = _id_order(ids)
     return [
         _report(codes, lat, lon, by_id, cfg)
         for cfg, (codes, _, _) in zip(cfgs, _walk_layers(data, lat, lon, cfgs))

@@ -17,6 +17,7 @@ index, and centroid updates accumulate members in ascending row order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,14 +143,17 @@ class TrainConfig:
             raise ValueError(f"unknown geo attributes: {sorted(unknown)}")
         if self.variant == VARIANT_PRO_GEO and not self.geo_attributes:
             raise ValueError("pro_geo needs at least one geo attribute")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        # written so that NaN, which fails every comparison, fails each check
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
-        if self.d_scale_km is not None and not self.d_scale_km > 0:
-            raise ValueError("d_scale_km must be positive when given")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if self.d_scale_km is not None and not (math.isfinite(self.d_scale_km) and self.d_scale_km > 0):
+            raise ValueError(f"d_scale_km must be finite and positive when given, got {self.d_scale_km}")
 
     @property
     def metric(self) -> str:

@@ -176,6 +176,20 @@ class TestExitCodes:
     def test_invalid_value_exits_one(self, corpus_dir, tmp_path):
         assert _train(corpus_dir, tmp_path / "x.bin", extra=("--tol", "-3")) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--alpha", "nan", "alpha must be finite and >= 0, got nan"),
+            ("--tol", "nan", "tol must be >= 0, got nan"),
+            ("--d-scale-km", "inf", "d_scale_km must be finite and positive when given, got inf"),
+        ],
+    )
+    def test_non_finite_value_exits_one(self, corpus_dir, tmp_path, capsys, flag, value, message):
+        capsys.readouterr()
+        assert _train(corpus_dir, tmp_path / "x.bin", extra=(flag, value)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x.bin").exists()
+
     def test_bad_k_exits_one(self, corpus_dir, tmp_path):
         code = main(
             ["train", "--corpus", str(corpus_dir), "--k", "2,nope", "--out", str(tmp_path / "x.bin")]

@@ -4,11 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geosid.data_io import (
     ClusterGeo,
     CodebookArtifact,
     CodebookFormatError,
+    Corpus,
     CorpusFormatError,
     PoiRecord,
     SynthConfig,
@@ -22,6 +25,10 @@ from geosid.data_io import (
 from geosid.geo import GeoPoint, haversine_km
 from geosid.quantizer import CodebookLayer, TrainConfig
 from geosid.sid import Sid, SidIndex
+
+
+def _bits(values) -> list[int]:
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
 
 
 def _paths(tmp_path):
@@ -39,13 +46,47 @@ class TestCorpusRoundTrip:
         save_corpus(pois, matrix, poi_path, emb_path)
 
         loaded, m2 = load_corpus(poi_path, emb_path)
-        assert loaded == pois
+        assert list(loaded) == pois
         assert np.array_equal(m2, matrix)  # values chosen to be float32-exact
 
         # second-generation serialization is byte-identical
         save_corpus(loaded, m2, tmp_path / "poi2.jsonl", tmp_path / "emb2.bin")
         assert (tmp_path / "poi2.jsonl").read_bytes() == poi_path.read_bytes()
         assert (tmp_path / "emb2.bin").read_bytes() == emb_path.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coords=st.lists(
+            st.tuples(
+                st.floats(-90.0, 90.0),
+                st.one_of(
+                    st.sampled_from([180.0, -180.0, 540.0, -540.0, -0.0, 0.0, 359.9, -359.9]),
+                    st.floats(-1e6, 1e6),
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_columns_match_geopoint_bits(self, tmp_path_factory, coords):
+        tmp_path = tmp_path_factory.mktemp("corpus")
+        # raw longitudes in the file: the loader wraps them as GeoPoint does
+        lines = "".join(
+            json.dumps({"id": f"p{i}", "lat": lat, "lon": lon}) + "\n" for i, (lat, lon) in enumerate(coords)
+        )
+        poi_path, emb_path = _write_corpus_files(tmp_path, lines, np.ones((len(coords), 2)))
+        corpus, _ = load_corpus(poi_path, emb_path)
+        points = [GeoPoint(lat, lon) for lat, lon in coords]
+        assert _bits(corpus.lat) == _bits([p.lat for p in points])
+        assert _bits(corpus.lon) == _bits([p.lon for p in points])
+        assert corpus.ids == [f"p{i}" for i in range(len(coords))]
+        assert corpus.category == [None] * len(coords)
+
+        records = [PoiRecord(f"r{i}", p, i, "shop" if i % 2 else None) for i, p in enumerate(points)]
+        save_corpus(records, np.ones((len(records), 2)), poi_path, emb_path)
+        loaded, _ = load_corpus(poi_path, emb_path)
+        assert list(loaded) == records
+        assert _bits([r.location.lon for r in loaded]) == _bits([p.lon for p in points])
 
     def test_count_mismatch(self, tmp_path):
         poi_path, emb_path = _paths(tmp_path)
@@ -115,6 +156,189 @@ class TestCorpusRoundTrip:
         save_corpus([PoiRecord("a", GeoPoint(0, 0), 0)], np.ones((1, 3)), poi_path, emb_path)
         with pytest.raises(CorpusFormatError, match="even"):
             load_corpus(poi_path, emb_path)
+
+
+def _write_corpus_files(tmp_path, lines: str, matrix):
+    """A corpus whose metadata file holds ``lines`` verbatim, beside a
+    valid embedding file of ``matrix``."""
+    poi_path, emb_path = _paths(tmp_path)
+    dummies = [PoiRecord(f"d{i}", GeoPoint(0, 0), i) for i in range(len(matrix))]
+    save_corpus(dummies, np.asarray(matrix), poi_path, emb_path)
+    poi_path.write_text(lines, encoding="utf-8")
+    return poi_path, emb_path
+
+
+_OK = '{"id":"a","lat":0,"lon":0}\n'
+
+
+class TestCorpusColumns:
+    def test_constructor_wraps_longitude_and_freezes_columns(self):
+        corpus = Corpus(["a", "b", "c"], [0.0, 45.0, -90.0], [540.0, -180.0, -190.5], ["x", None, "y"])
+        assert corpus.lon.tolist() == [180.0, 180.0, 169.5]
+        assert corpus[2] == PoiRecord("c", GeoPoint(-90.0, -190.5), 2, "y")
+        with pytest.raises(ValueError):
+            corpus.lat[0] = 1.0
+        assert Corpus(["a"], [1.0], [2.0]).category == [None]
+
+    @pytest.mark.parametrize(
+        "lat, lon, match",
+        [
+            ([0.0, 91.0], [0.0, 0.0], r"POI 'b': invalid coordinates \(91.0, 0.0\)"),
+            ([0.0, np.nan], [0.0, 0.0], r"POI 'b': invalid coordinates \(nan, 0.0\)"),
+            ([0.0, 0.0], [np.inf, 0.0], r"POI 'a': invalid coordinates \(0.0, inf\)"),
+            ([0.0], [0.0, 0.0], "must all have 2 rows"),
+        ],
+    )
+    def test_constructor_rejects(self, lat, lon, match):
+        with pytest.raises(ValueError, match=match):
+            Corpus(["a", "b"], lat, lon)
+
+
+class TestCorpusRejections:
+    # (metadata lines, embedding matrix, the exact message: {poi} and {emb}
+    # stand for the two paths). The first faulty line in file order is
+    # named, with the checks of one line in the order id, lat, lon,
+    # coordinate range, duplicate, category.
+    @pytest.mark.parametrize(
+        "lines, matrix, message",
+        [
+            pytest.param(
+                _OK + "not json\n", np.ones((2, 2)),
+                "{poi}, line 2: invalid JSON (Expecting value: line 1 column 1 (char 0))",
+                id="invalid-json",
+            ),
+            pytest.param(
+                '{"id":"a","lat":0,"lon":0} 7\n', np.ones((1, 2)),
+                "{poi}, line 1: invalid JSON (Extra data: line 1 column 28 (char 27))",
+                id="trailing-data",
+            ),
+            pytest.param(
+                '{"id":"a","lat":0\n', np.ones((1, 2)),
+                "{poi}, line 1: invalid JSON (Expecting ',' delimiter: line 1 column 18 (char 17))",
+                id="truncated-object",
+            ),
+            pytest.param(
+                _OK + "[1, 2]\n", np.ones((2, 2)),
+                "{poi}, record 2: list indices must be integers or slices, not str",
+                id="list-line",
+            ),
+            pytest.param(
+                "null\n", np.ones((1, 2)),
+                "{poi}, record 1: 'NoneType' object is not subscriptable",
+                id="null-line",
+            ),
+            pytest.param(
+                _OK + '{"lat":0,"lon":0}\n', np.ones((2, 2)),
+                "{poi}, record (line 2): 'id'",
+                id="missing-id",
+            ),
+            pytest.param(
+                '{"id":"a","lon":0}\n', np.ones((1, 2)), "{poi}, record a: 'lat'", id="missing-lat"
+            ),
+            pytest.param(
+                '{"id":"a","lat":0}\n', np.ones((1, 2)), "{poi}, record a: 'lon'", id="missing-lon"
+            ),
+            pytest.param(
+                '{"id":5,"lat":0,"lon":0}\n', np.ones((1, 2)),
+                "{poi}, record 5: id must be a non-empty string",
+                id="int-id",
+            ),
+            pytest.param(
+                '{"id":"","lat":0,"lon":0}\n', np.ones((1, 2)),
+                "{poi}, record : id must be a non-empty string",
+                id="empty-id",
+            ),
+            pytest.param(
+                '{"id":"a","lat":"north","lon":0}\n', np.ones((1, 2)),
+                "{poi}, record a: could not convert string to float: 'north'",
+                id="text-lat",
+            ),
+            pytest.param(
+                '{"id":"a","lat":NaN,"lon":0}\n', np.ones((1, 2)),
+                "{poi}, record a: non-finite coordinates (nan, 0.0)",
+                id="nan-lat",
+            ),
+            pytest.param(
+                '{"id":"a","lat":1,"lon":-Infinity}\n', np.ones((1, 2)),
+                "{poi}, record a: non-finite coordinates (1.0, -inf)",
+                id="infinite-lon",
+            ),
+            pytest.param(
+                '{"id":"a","lat":"nan","lon":720}\n', np.ones((1, 2)),
+                "{poi}, record a: non-finite coordinates (nan, 720.0)",
+                id="nan-lat-text",
+            ),
+            pytest.param(
+                '{"id":"a","lat":90.5,"lon":0}\n', np.ones((1, 2)),
+                "{poi}, record a: latitude 90.5 outside [-90, +90]",
+                id="lat-above-range",
+            ),
+            pytest.param(
+                '{"id":"a","lat":-91,"lon":0}\n', np.ones((1, 2)),
+                "{poi}, record a: latitude -91.0 outside [-90, +90]",
+                id="lat-below-range",
+            ),
+            pytest.param(
+                _OK + '{"id":"a","lat":1,"lon":1}\n', np.ones((2, 2)),
+                "{poi}, record 'a': duplicate id",
+                id="duplicate-id",
+            ),
+            pytest.param(
+                '{"id":"a","lat":0,"lon":0,"category":3}\n', np.ones((1, 2)),
+                "{poi}, record 'a': category must be a string",
+                id="int-category",
+            ),
+            pytest.param(
+                _OK + '{"id":"b","lat":95,"lon":0}\n{"id":"a","lat":0,"lon":0}\n', np.ones((3, 2)),
+                "{poi}, record b: latitude 95.0 outside [-90, +90]",
+                id="first-of-two-faulty-lines",
+            ),
+            pytest.param(
+                _OK + '{"id":"a","lat":0,"lon":0}\n{"id":"c",\n', np.ones((3, 2)),
+                "{poi}, record 'a': duplicate id",
+                id="duplicate-before-bad-json",
+            ),
+            pytest.param(
+                _OK + '{"id":"a","lat":95,"lon":0,"category":1}\n', np.ones((2, 2)),
+                "{poi}, record a: latitude 95.0 outside [-90, +90]",
+                id="range-before-duplicate-in-one-line",
+            ),
+            pytest.param(
+                "\n  \n" + _OK + "\n{oops}\n", np.ones((1, 2)),
+                "{poi}, line 5: invalid JSON "
+                "(Expecting property name enclosed in double quotes: line 1 column 2 (char 1))",
+                id="blank-lines-counted",
+            ),
+            pytest.param(
+                _OK + '{"id":"b","lat":0,"lon":0}\n', np.ones((1, 2)),
+                "embedding count 1 does not match 2 records in {poi}",
+                id="count-mismatch",
+            ),
+            pytest.param(
+                _OK, np.ones((1, 3)), "{emb}: embedding dimension 3 must be even", id="odd-dimension"
+            ),
+            pytest.param(
+                _OK + '{"id":"broken","lat":0,"lon":0}\n', np.array([[1.0, 2.0], [np.inf, 0.0]]),
+                "{emb}: non-finite embedding for record 'broken'",
+                id="non-finite-embedding",
+            ),
+        ],
+    )
+    def test_rejection_names_line_or_record(self, tmp_path, lines, matrix, message):
+        poi_path, emb_path = _write_corpus_files(tmp_path, lines, matrix)
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(poi_path, emb_path)
+        assert str(info.value) == message.replace("{poi}", str(poi_path)).replace("{emb}", str(emb_path))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        lines = "\n   \n" + _OK + "\t\n" + '{"id":"b","lat":1.5,"lon":-2}\n\n'
+        poi_path, emb_path = _write_corpus_files(tmp_path, lines, np.ones((2, 2)))
+        pois, matrix = load_corpus(poi_path, emb_path)
+        assert [(p.id, p.location, p.embedding_ref) for p in pois] == [
+            ("a", GeoPoint(0, 0), 0),
+            ("b", GeoPoint(1.5, -2), 1),
+        ]
+        assert matrix.shape == (2, 2)
 
 
 def _tiny_artifact():

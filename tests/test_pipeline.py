@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import fields, replace
 
@@ -7,7 +8,16 @@ import pytest
 from oracles import lloyd_oracle
 
 import geosid.pipeline
-from geosid.data_io import CodebookArtifact, PoiRecord, SynthConfig, generate_synthetic
+from geosid.data_io import (
+    CodebookArtifact,
+    Corpus,
+    PoiRecord,
+    SynthConfig,
+    generate_synthetic,
+    load_corpus,
+    save_codebook,
+    save_corpus,
+)
 from geosid.geo import AntimeridianWarning, GeoPoint
 from geosid.metrics import build_quant_report
 from geosid.pipeline import (
@@ -319,6 +329,67 @@ class TestReplayInvariance:
         assert batched == whole
 
 
+class TestCorpusInput:
+    """A loaded ``Corpus`` and the same rows as a list of records give the
+    same bits through every entry point."""
+
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        pois, embeddings = generate_synthetic(
+            SynthConfig(n_semantic_clusters=3, pois_per_cluster=100, embedding_dim=8, seed=11)
+        )
+        # rows in a shuffled, non-id-sorted order
+        perm = np.random.default_rng(5).permutation(len(pois))
+        records = [PoiRecord(pois[r].id, pois[r].location, i, pois[r].category) for i, r in enumerate(perm)]
+        assert [p.id for p in records] != sorted(p.id for p in records)
+        base = tmp_path_factory.mktemp("corpus")
+        save_corpus(records, embeddings[perm], base / "poi.jsonl", base / "embeddings.bin")
+        corpus, matrix = load_corpus(base / "poi.jsonl", base / "embeddings.bin")
+        assert isinstance(corpus, Corpus)
+        return corpus, records, matrix
+
+    _CONFIGS = [
+        TrainConfig(layer_sizes=(3, 3, 4), seed=2, variant=variant, rope_layer=rope)
+        for variant in VARIANTS
+        for rope in ROPE_LAYERS
+    ]
+
+    def test_records_read_from_columns(self, loaded):
+        corpus, records, _ = loaded
+        assert len(corpus) == len(records)
+        assert list(corpus) == records
+        assert corpus[np.int64(5)] == records[5]
+        assert corpus[np.int32(-1)] == records[-1]
+        assert corpus[3:11:2] == records[3:11:2]
+        assert corpus[::-1] == records[::-1]
+        with pytest.raises(IndexError):
+            corpus[len(records)]
+
+    @pytest.mark.parametrize("cfg", _CONFIGS, ids=config_label)
+    def test_run_and_replay_match_records(self, loaded, cfg, tmp_path):
+        corpus, records, matrix = loaded
+        from_columns = run(corpus, matrix, cfg)
+        from_records = run(records, matrix, cfg)
+        save_codebook(from_columns.artifact, tmp_path / "columns.bin")
+        save_codebook(from_records.artifact, tmp_path / "records.bin")
+        assert (tmp_path / "columns.bin").read_bytes() == (tmp_path / "records.bin").read_bytes()
+        assert from_columns.report == from_records.report
+        assert from_columns.assignments == from_records.assignments
+
+        order = np.random.default_rng(6).permutation(len(records))
+        for size, count in ((1, 20), (7, None), (256, None)):
+            for start in range(0, len(order), size)[:count]:
+                rows = order[start : start + size]
+                batch = Corpus([corpus.ids[i] for i in rows], corpus.lat[rows], corpus.lon[rows])
+                got = assign_with_codebook(from_columns.artifact, batch, matrix[rows])
+                want = assign_with_codebook(from_columns.artifact, [records[i] for i in rows], matrix[rows])
+                assert got == want
+
+    def test_compare_matches_records(self, loaded):
+        corpus, records, matrix = loaded
+        assert compare(corpus, matrix, self._CONFIGS) == compare(records, matrix, self._CONFIGS)
+
+
 class TestCompare:
     def test_geo_variant_beats_euclidean_baseline(self, corpus):
         pois, embeddings = corpus
@@ -559,6 +630,14 @@ class TestSweep:
             SweepGrid(pairs=())
         with pytest.raises(ValueError):
             SweepGrid(pairs=((0.5, -0.1),))
+
+    @pytest.mark.parametrize(
+        "pair, field",
+        [((math.nan, 0.5), "alpha"), ((0.5, math.nan), "beta"), ((math.inf, 0.5), "alpha"), ((0.5, math.inf), "beta")],
+    )
+    def test_grid_rejects_non_finite(self, pair, field):
+        with pytest.raises(ValueError, match=f"sweep grid {field} must be finite"):
+            SweepGrid(pairs=((0.5, 0.5), pair))
 
 
 def test_config_label_mentions_variant():

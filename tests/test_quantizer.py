@@ -84,6 +84,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha", math.nan),
+            ("beta", math.nan),
+            ("tol", math.nan),
+            ("alpha", math.inf),
+            ("beta", math.inf),
+            ("d_scale_km", math.inf),
+            ("d_scale_km", math.nan),
+        ],
+    )
+    def test_non_finite_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be .*, got {value}$"):
+            TrainConfig(**{field: value})
+
 
 class TestAssignCosine:
     """``assign`` on a cosine layer."""
