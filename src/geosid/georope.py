@@ -18,6 +18,7 @@ into [-pi/2, +pi/2] and the radial distance is mapped linearly onto
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,17 +73,58 @@ def rotate_blockwise(v: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
     broadcastable to the leading dimensions (one angle per vector).
     Norm-preserving.
     """
+    v = _even_rows(v)
+    theta = np.asarray(theta, dtype=float)
+    return _rotations(v, [theta], 1)[..., 0, :]
+
+
+def _even_rows(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1] % 2 != 0:
         raise ValueError(f"blockwise rotation needs an even dimension, got {v.shape[-1]}")
-    theta = np.asarray(theta, dtype=float)
-    c = np.cos(theta)[..., None]
-    s = np.sin(theta)[..., None]
-    even = v[..., 0::2]
-    odd = v[..., 1::2]
-    out = np.empty(np.broadcast_shapes(v.shape[:-1], theta.shape) + v.shape[-1:], dtype=float)
-    out[..., 0::2] = c * even - s * odd
-    out[..., 1::2] = s * even + c * odd
+    return v
+
+
+# rows per pass of _rotations' products: bounds its scratch arrays at a
+# few MB however many rows a batch has
+_ROTATION_CHUNK_ROWS = 1024
+
+
+def _rotations(v: np.ndarray, angles: list[np.ndarray], blocks: int) -> np.ndarray:
+    """R(theta) v for each angle, as blocks 0..len(angles)-1 of a
+    (..., ``blocks``, M) array; any further blocks are left for the caller
+    to fill.
+
+    Per pair the even output is cos*even - sin*odd and the odd one
+    sin*even + cos*odd. They are evaluated as cos*v + sin*w with
+    w = (-odd, even) per pair: negation and commuted addition are exact,
+    so every output has the bits of the two-product form. The cos and sin
+    factors are repeated along M (the repeated cosines become the output),
+    so that every product is a contiguous pass over all blocks at once.
+    The products run over chunks of rows, which changes no bit of an
+    elementwise result."""
+    m = v.shape[-1]
+    lead = np.broadcast_shapes(v.shape[:-1], *(theta.shape for theta in angles))
+    k = len(angles)
+    cos = np.empty(lead + (blocks, 1))
+    sin = np.empty(lead + (k, 1))
+    for b, theta in enumerate(angles):
+        cos[..., b, 0] = np.cos(theta)
+        sin[..., b, 0] = np.sin(theta)
+    out = np.repeat(cos, m, axis=-1)
+    rows = np.broadcast_to(v, lead + (m,)).reshape(-1, 1, m)
+    rotated = out.reshape(-1, blocks, m)[:, :k]
+    sin = sin.reshape(-1, k, 1)
+    for start in range(0, rows.shape[0], _ROTATION_CHUNK_ROWS):
+        chunk = slice(start, start + _ROTATION_CHUNK_ROWS)
+        r, o = rows[chunk], rotated[chunk]
+        np.multiply(o, r, out=o)
+        w = np.empty_like(r)
+        np.negative(r[..., 1::2], out=w[..., 0::2])
+        w[..., 1::2] = r[..., 0::2]
+        sin_w = np.repeat(sin[chunk], m, axis=-1)
+        np.multiply(sin_w, w, out=sin_w)
+        np.add(o, sin_w, out=o)
     return out
 
 
@@ -140,21 +182,24 @@ def build_geo_vector(
         raise ValueError(f"unknown geo attributes: {sorted(unknown)}")
     if not attributes:
         raise ValueError("at least one geo attribute is required")
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be >= 0")
-    r2 = np.asarray(r2, dtype=float)
+    # written so that NaN, which fails every comparison, fails each check
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    r2 = _even_rows(r2)
     sigma = np.asarray(geo.sigma_norm, dtype=float)
     d = np.asarray(geo.d_norm, dtype=float)
-    angles = {
-        ATTR_SIGMA_FWD: alpha * sigma,
-        ATTR_SIGMA_REV: -alpha * sigma,
-        ATTR_DIST_FWD: beta * d,
-        ATTR_DIST_REV: -beta * d,
+    scaled = {
+        ATTR_SIGMA_FWD: (alpha, sigma),
+        ATTR_SIGMA_REV: (-alpha, sigma),
+        ATTR_DIST_FWD: (beta, d),
+        ATTR_DIST_REV: (-beta, d),
     }
-    blocks = [rotate_blockwise(r2, angles[a]) for a in ALL_ATTRIBUTES if a in attributes]
-    if len(blocks) == 1:
-        blocks.append(np.broadcast_to(r2, blocks[0].shape).copy())
-    return np.concatenate(blocks, axis=-1)
+    angles = [scale * x for scale, x in (scaled[a] for a in ALL_ATTRIBUTES if a in attributes)]
+    out = _rotations(r2, angles, max(len(angles), 2))
+    if len(angles) == 1:
+        out[..., 1, :] = r2
+    return out.reshape(out.shape[:-2] + (-1,))
 
 
 def _mirror_duplicate(v: np.ndarray) -> np.ndarray:

@@ -104,7 +104,7 @@ def _code_array(assignments: Mapping[str, Sid], what: str) -> tuple[list[str], n
 def _triples(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group id of each row (distinct triples in ascending order) and the
     size of each group."""
-    _, groups = group_codes(codes)
+    _, groups, _ = group_codes(codes)
     return groups, np.bincount(groups)
 
 
@@ -183,12 +183,15 @@ def quant_report(
     lon: np.ndarray,
     capacities: tuple[int, int, int],
     earth: EarthModel = EarthModel(),
+    groups: np.ndarray | None = None,
 ) -> QuantReport:
     """The full metrics row for an (N, 3) code array with the POIs' degree
-    coordinates in the same row order."""
+    coordinates in the same row order. ``groups`` is the row grouping of
+    ``group_codes(codes)`` when the caller already has it (a ``SidIndex``
+    built on ``codes`` holds it as ``row_groups``)."""
     if codes.shape[0] == 0:
         raise ValueError("quant_report of an empty assignment set")
-    groups, counts = _triples(codes)
+    groups, counts = _triples(codes) if groups is None else (groups, np.bincount(groups))
     avg, p90, p95 = _dispersion(groups, lat, lon, earth)
     return QuantReport(
         cur=_cur(counts, capacities),

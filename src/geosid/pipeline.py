@@ -32,6 +32,7 @@ from .data_io import ClusterGeo, CodebookArtifact, Corpus, PoiRecord
 from .geo import GeoPoint, group_centroids, local_polar
 from .metrics import QuantReport, quant_report
 from .quantizer import (
+    METRIC_COSINE,
     ROPE_LAYER_THIRD,
     CodebookLayer,
     TrainConfig,
@@ -121,9 +122,9 @@ def _columns(
 ) -> tuple[Sequence[str], np.ndarray, np.ndarray, np.ndarray]:
     """The input boundary: the POI ids, the float64 embedding matrix and
     the latitude and longitude columns (degrees). A :class:`Corpus` hands
-    over its own columns; any other sequence of records is read record by
-    record. Rejects a matrix that does not have one row per POI, or a
-    non-finite row, naming its POI."""
+    over its own columns; any other sequence of records is read in one
+    pass, each record's location once. Rejects a matrix that does not have
+    one row per POI, or a non-finite row, naming its POI."""
     data = np.ascontiguousarray(embeddings, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] != len(pois):
         raise ValueError(f"embedding matrix shape {data.shape} does not match {len(pois)} POIs")
@@ -132,11 +133,13 @@ def _columns(
         raise ValueError(f"non-finite embedding for POI {pois[row].id!r}")
     if isinstance(pois, Corpus):
         return pois.ids, data, pois.lat, pois.lon
-    n = len(pois)
-    ids = [poi.id for poi in pois]
-    lat = np.fromiter((poi.location.lat for poi in pois), dtype=float, count=n)
-    lon = np.fromiter((poi.location.lon for poi in pois), dtype=float, count=n)
-    return ids, data, lat, lon
+    ids, lat, lon = [], [], []
+    for poi in pois:
+        location = poi.location
+        ids.append(poi.id)
+        lat.append(location.lat)
+        lon.append(location.lon)
+    return ids, data, np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64)
 
 
 def _cluster_frames(
@@ -150,7 +153,7 @@ def _cluster_frames(
     clusters whose members all sit on the centroid get scale 1 km, which
     normalizes their zero distances to zero.
     """
-    cells, groups = group_codes(keys)
+    cells, groups, _ = group_codes(keys)
     center_lat, center_lon = group_centroids(groups, lat, lon)
     d_km, sigma = local_polar(center_lat[groups], center_lon[groups], lat, lon)
     if d_scale_override is not None:
@@ -230,7 +233,9 @@ def _cluster_level(
             labels = assign(x, layer)
         residuals = None
         if level < len(cfg.layer_sizes):
-            residuals = next_residuals(x, layer.centroids[labels], cfg.metric)
+            # only the cosine projection reads the centroid norms
+            norms = layer.sq_norms[labels] if cfg.metric == METRIC_COSINE else None
+            residuals = next_residuals(x, layer.centroids[labels], cfg.metric, norms)
     return _Walked(parent.labels + (labels,), parent.layers + (layer,), parent.frames + (frames,), residuals)
 
 
@@ -249,7 +254,8 @@ def _walk_layers(
     Fitting derives the frames from the rows and trains level l with seed
     ``[cfg.seed, l - 1]``; replay reads the artifact's frames and layers.
     Configurations with one ``cfg.prefix_key(l)`` share the state after
-    level l, so each distinct level is clustered once. Each level builds
+    level l, so each distinct level is clustered once; a single
+    configuration, every replay batch, builds no key. Each level builds
     its distinct inputs and releases the parent states before it fits, so
     a single configuration holds one level input at a time. All
     configurations have the same number of layers.
@@ -259,7 +265,7 @@ def _walk_layers(
     """
     states = [_Walked((), (), (), data)] * len(cfgs)
     for level in range(1, len(cfgs[0].layer_sizes) + 1):
-        keys = [cfg.prefix_key(level) for cfg in cfgs]
+        keys = [0] if len(cfgs) == 1 else [cfg.prefix_key(level) for cfg in cfgs]
         inputs = {}  # prefix key -> (parent, input, frame map, config)
         for key, parent, cfg in zip(keys, states, cfgs):
             if key not in inputs:
@@ -292,14 +298,20 @@ def _training_columns(
 
 
 def _report(
-    codes: np.ndarray, lat: np.ndarray, lon: np.ndarray, by_id: np.ndarray, cfg: TrainConfig
+    codes: np.ndarray,
+    lat: np.ndarray,
+    lon: np.ndarray,
+    by_id: np.ndarray,
+    cfg: TrainConfig,
+    groups: np.ndarray | None = None,
 ) -> QuantReport:
     """A run's report: its codes checked against the layer sizes, then
     scored in POI-id row order, the order metrics.geo_dispersion sums
-    centroids in."""
+    centroids in. ``groups`` is the grouping of ``codes[by_id]`` if the
+    caller has it."""
     with _stage("sid assembly"):
         check_codes(codes, cfg.layer_sizes)
-        return quant_report(codes[by_id], lat[by_id], lon[by_id], cfg.layer_sizes)
+        return quant_report(codes[by_id], lat[by_id], lon[by_id], cfg.layer_sizes, groups=groups)
 
 
 def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> RunResult:
@@ -315,9 +327,11 @@ def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> 
     by_id = _id_order(ids)
     with _stage("sid assembly"):
         # index before report: the other order left freed heap pages that
-        # the next replay batches fault back in, about 56 per 40 batches
+        # the next replay batches fault back in, about 56 per 40 batches.
+        # The index's ids are already sorted, so its rows are codes[by_id]
+        # and the report reuses its grouping.
         index = SidIndex([ids[i] for i in by_id.tolist()], codes[by_id])
-        report = _report(codes, lat, lon, by_id, cfg)
+        report = _report(codes, lat, lon, by_id, cfg, index.row_groups)
         artifact = CodebookArtifact(
             config=cfg,
             layers=layers,

@@ -18,7 +18,7 @@ index, and centroid updates accumulate members in ascending row order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,10 +80,17 @@ class CodebookLayer:
     Centroids are stored float64 and frozen read-only. A zero-norm centroid
     can appear only from degenerate (all-zero) training data; it acts as a
     sentinel that never wins a cosine assignment.
+
+    ``sq_norms`` (each centroid's squared norm, ``_row_sq_norms`` of the
+    centroids) and ``norms`` (their square roots) are derived once from
+    the frozen centroids, read-only, and reused by every assignment and
+    residual step against the layer.
     """
 
     centroids: np.ndarray
     metric: str = METRIC_COSINE
+    sq_norms: np.ndarray = field(init=False, repr=False)
+    norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.centroids, dtype=float)
@@ -93,8 +100,11 @@ class CodebookLayer:
             raise ValueError("centroids contain non-finite values")
         if self.metric not in _METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "centroids", arr)
+        sq_norms = _row_sq_norms(arr)
+        norms = np.sqrt(sq_norms)
+        for name, value in (("centroids", arr), ("sq_norms", sq_norms), ("norms", norms)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def k(self) -> int:
@@ -186,8 +196,20 @@ class TrainConfig:
         return (self.metric, self.seed, self.max_iters, self.tol, self.layer_sizes[:level], geo)
 
 
+# rows squared per pass of _row_sq_norms
+_NORM_CHUNK_ROWS = 1024
+
+
 def _row_sq_norms(x: np.ndarray) -> np.ndarray:
-    return np.sum(x * x, axis=1)
+    """``np.sum(x * x, axis=1)``, squared over blocks of rows: each row's
+    sum has the same bits, and the squares never take a full copy of
+    ``x`` (the geo-enhanced level input of a fit is the largest array a
+    run holds)."""
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _NORM_CHUNK_ROWS):
+        block = x[start : start + _NORM_CHUNK_ROWS]
+        np.sum(block * block, axis=1, out=out[start : start + _NORM_CHUNK_ROWS])
+    return out
 
 
 def _gram(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -208,18 +230,27 @@ def _gram(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _cosine_similarities(
-    vectors: np.ndarray, centroids: np.ndarray, vector_sq_norms: np.ndarray
+    vectors: np.ndarray,
+    centroids: np.ndarray,
+    vector_sq_norms: np.ndarray,
+    centroid_sq_norms: np.ndarray | None = None,
+    centroid_norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """(N, K) cosine similarities; zero-norm rows score 0 and zero-norm
     centroids -2. ``vector_sq_norms`` is ``_row_sq_norms(vectors)``,
-    computed by the caller.
+    computed by the caller; ``centroid_sq_norms`` and ``centroid_norms``
+    are the centroids' squared norms and their roots, computed here when
+    not given (a :class:`CodebookLayer` holds both).
 
     The division runs in place over the Gram matrix. A product of two
     positive roots never underflows to 0, so the only zero denominators
     are those of zero-norm rows and centroids, overwritten afterwards."""
     sims = _gram(vectors, centroids)
-    centroid_sq_norms = _row_sq_norms(centroids)
-    denom = np.multiply.outer(np.sqrt(vector_sq_norms), np.sqrt(centroid_sq_norms))
+    if centroid_sq_norms is None:
+        centroid_sq_norms = _row_sq_norms(centroids)
+    if centroid_norms is None:
+        centroid_norms = np.sqrt(centroid_sq_norms)
+    denom = np.multiply.outer(np.sqrt(vector_sq_norms), centroid_norms)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(sims, denom, out=sims)
     zero_v = vector_sq_norms == 0.0
@@ -232,15 +263,44 @@ def _cosine_similarities(
 
 
 def _sq_euclidean(
-    vectors: np.ndarray, centroids: np.ndarray, vector_sq_norms: np.ndarray
+    vectors: np.ndarray,
+    centroids: np.ndarray,
+    vector_sq_norms: np.ndarray,
+    centroid_sq_norms: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(N, K) squared Euclidean distances via the expanded inner product.
-    ``vector_sq_norms`` is ``_row_sq_norms(vectors)``, computed by the caller."""
-    return (
-        vector_sq_norms[:, None]
-        - 2.0 * _gram(vectors, centroids)
-        + _row_sq_norms(centroids)[None, :]
-    )
+    """(N, K) squared Euclidean distances via the expanded inner product
+    ``(||v||^2 - 2 <v, c>) + ||c||^2``, evaluated in place over the Gram
+    matrix. ``vector_sq_norms`` is ``_row_sq_norms(vectors)``, computed by
+    the caller; ``centroid_sq_norms`` is computed here when not given."""
+    if centroid_sq_norms is None:
+        centroid_sq_norms = _row_sq_norms(centroids)
+    dists = _gram(vectors, centroids)
+    # -2g + n is n - 2g exactly: negation and commuted addition are exact
+    np.multiply(dists, -2.0, out=dists)
+    np.add(dists, vector_sq_norms[:, None], out=dists)
+    return np.add(dists, centroid_sq_norms, out=dists)
+
+
+def _scores_and_labels(
+    vectors: np.ndarray,
+    centroids: np.ndarray,
+    metric: str,
+    sq_norms: np.ndarray,
+    centroid_sq_norms: np.ndarray | None = None,
+    centroid_norms: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row best centroid under ``metric`` and the (N, K) scores it was
+    picked from: cosine similarities (argmax, first index wins ties; a
+    zero-norm row goes to index 0) or squared Euclidean distances (argmin).
+    ``sq_norms`` is ``_row_sq_norms(vectors)``; the centroid norms are as
+    in :func:`_cosine_similarities`."""
+    if metric == METRIC_COSINE:
+        sims = _cosine_similarities(vectors, centroids, sq_norms, centroid_sq_norms, centroid_norms)
+        labels = np.argmax(sims, axis=1)
+        labels[sq_norms == 0.0] = 0
+        return sims, labels
+    dists = _sq_euclidean(vectors, centroids, sq_norms, centroid_sq_norms)
+    return dists, np.argmin(dists, axis=1)
 
 
 def _distances_and_labels(
@@ -258,13 +318,10 @@ def _distances_and_labels(
     """
     if sq_norms is None:
         sq_norms = _row_sq_norms(vectors)
+    scores, labels = _scores_and_labels(vectors, centroids, metric, sq_norms)
     if metric == METRIC_COSINE:
-        sims = _cosine_similarities(vectors, centroids, sq_norms)
-        labels = np.argmax(sims, axis=1)
-        labels[sq_norms == 0.0] = 0
-        return np.subtract(1.0, sims, out=sims), labels
-    dists = _sq_euclidean(vectors, centroids, sq_norms)
-    return dists, np.argmin(dists, axis=1)
+        np.subtract(1.0, scores, out=scores)
+    return scores, labels
 
 
 def _center_distances(
@@ -282,13 +339,19 @@ def _center_distances(
 def assign(r: np.ndarray, layer: CodebookLayer) -> int | np.ndarray:
     """Best centroid index for a residual (or rows of residuals) under the
     layer's metric. Ties break to the lowest index; on a cosine layer a
-    zero-norm residual carries no direction and gets index 0."""
+    zero-norm residual carries no direction and gets index 0.
+
+    Returns labels only: the labels of :func:`_distances_and_labels`
+    against ``layer.centroids``, from the layer's cached centroid norms
+    and without converting similarities into distances."""
     r = np.asarray(r, dtype=float)
     single = r.ndim == 1
     rows = np.atleast_2d(r)
     if rows.shape[1] != layer.dim:
         raise ValueError(f"residual dimension {rows.shape[1]} != layer dimension {layer.dim}")
-    _, labels = _distances_and_labels(rows, layer.centroids, layer.metric)
+    _, labels = _scores_and_labels(
+        rows, layer.centroids, layer.metric, _row_sq_norms(rows), layer.sq_norms, layer.norms
+    )
     return int(labels[0]) if single else labels
 
 
@@ -302,11 +365,20 @@ def project_residual(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if r.shape != c.shape:
         raise ValueError(f"shape mismatch: residual {r.shape} vs centroid {c.shape}")
-    cc = np.sum(c * c, axis=-1, keepdims=True)
+    cc = np.sum(c * c, axis=-1)
     if np.any(cc == 0.0):
         raise DegenerateCentroidError("cannot project onto a zero-norm centroid")
-    coef = np.sum(r * c, axis=-1, keepdims=True) / cc
-    return r - coef * c
+    return _project(r, c, cc)
+
+
+def _project(r: np.ndarray, c: np.ndarray, cc: np.ndarray) -> np.ndarray:
+    """r - (<r,c>/cc) c along the last axis, given ``cc = ||c||^2 > 0``
+    per vector, evaluated in one scratch buffer."""
+    buf = np.multiply(r, c)
+    coef = np.sum(buf, axis=-1, keepdims=True)
+    coef /= np.asarray(cc)[..., None]
+    np.multiply(coef, c, out=buf)
+    return np.subtract(r, buf, out=buf)
 
 
 def kmeans_plus_plus_init(
@@ -498,22 +570,30 @@ def kmeans_train(
     )
 
 
-def next_residuals(vectors: np.ndarray, assigned: np.ndarray, metric: str) -> np.ndarray:
+def next_residuals(
+    vectors: np.ndarray, assigned: np.ndarray, metric: str, sq_norms: np.ndarray | None = None
+) -> np.ndarray:
     """Per-row residuals for the next layer: projection residuals under the
     cosine metric, plain subtraction under Euclidean. Rows assigned to a
     degenerate zero-norm centroid pass through unchanged (there is no
-    direction to remove)."""
+    direction to remove).
+
+    ``sq_norms`` is each assigned centroid's squared norm if the caller
+    has it, for instance ``layer.sq_norms[labels]`` when ``assigned`` is
+    ``layer.centroids[labels]``; otherwise it is computed once here. Each
+    row's projection then reads that one norm."""
     data = np.asarray(vectors, dtype=float)
     assigned = np.asarray(assigned, dtype=float)
     if metric == METRIC_EUCLIDEAN:
         return data - assigned
-    residuals = np.empty_like(data)
-    live = _row_sq_norms(np.atleast_2d(assigned)) > 0.0
-    if data.ndim == 1:
-        return project_residual(data, assigned) if live[0] else data.copy()
+    if sq_norms is None:
+        sq_norms = np.sum(assigned * assigned, axis=-1)
+    live = sq_norms > 0.0
+    if np.all(live):
+        return _project(data, assigned, sq_norms)
+    residuals = data.copy()
     if np.any(live):
-        residuals[live] = project_residual(data[live], assigned[live])
-    residuals[~live] = data[~live]
+        residuals[live] = _project(data[live], assigned[live], sq_norms[live])
     return residuals
 
 

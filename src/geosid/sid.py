@@ -98,12 +98,15 @@ def check_codes(codes: np.ndarray, capacities: tuple[int, int, int]) -> None:
         raise _out_of_range(_CODE_NAMES[col], int(codes[row, col]), capacities[col])
 
 
-def group_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def group_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of an (N, L) integer code array in ascending
-    lexicographic order, and for each row the index of its distinct row.
+    lexicographic order, for each row the index of its distinct row, and
+    the row order that sorts by that index (rows of one distinct row in
+    ascending row order: ``np.argsort(groups, kind="stable")``).
 
-    Same result as ``np.unique(codes, axis=0, return_inverse=True)``, from
-    one lexsort instead of a sort over row-sized void records.
+    The first two are ``np.unique(codes, axis=0, return_inverse=True)``,
+    from one lexsort instead of a sort over row-sized void records; the
+    order is the lexsort itself.
     """
     order = np.lexsort(codes.T[::-1])
     ranked = codes[order]
@@ -111,17 +114,19 @@ def group_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
     groups = np.empty(len(order), dtype=np.int64)
     groups[order] = np.cumsum(starts) - 1
-    return ranked[starts], groups
+    return ranked[starts], groups, order
 
 
 class SidIndex:
     """Immutable two-way view of a POI -> SID assignment, held as columns.
 
     ``ids`` is the POI ids in ascending order and ``codes`` the aligned
-    read-only (N, 3) int64 triples. Every distinct triple has one shared
-    :class:`Sid`, which all of its POIs map to, so an index builds one
-    ``Sid`` per triple, not one per POI. Groups hold POIs by triple;
-    member lists are sorted by POI id.
+    read-only (N, 3) int64 triples; ``row_groups`` gives each row the
+    position of its triple among the distinct triples in ascending order
+    (the groups of ``group_codes(codes)``), also read-only. Every distinct
+    triple has one shared :class:`Sid`, which all of its POIs map to, so
+    an index builds one ``Sid`` per triple, not one per POI. Groups hold
+    POIs by triple; member lists are sorted by POI id.
 
     Build it from a mapping, ``SidIndex({poi_id: sid})``, or from columns,
     ``SidIndex(ids, codes)``: POI ids in any order and an (N, 3) integer
@@ -150,7 +155,7 @@ class SidIndex:
         self.ids = tuple([ids[i] for i in order])
         self.codes = codes.astype(np.int64, copy=False)[order]
         self.codes.flags.writeable = False
-        triples, rows_group = group_codes(self.codes)
+        triples, rows_group, self._members = group_codes(self.codes)
         columns = triples.T.tolist()
         self._sids = np.empty(len(triples), dtype=object)
         self._sids[:] = list(map(Sid, *columns))
@@ -159,8 +164,9 @@ class SidIndex:
         if len(self._by_poi) != n:
             dup = next(a for a, b in zip(self.ids, self.ids[1:]) if a == b)
             raise ValueError(f"duplicate POI id {dup!r}")
-        self._members = np.argsort(rows_group, kind="stable")
         self._bounds = np.concatenate(([0], np.cumsum(np.bincount(rows_group))))
+        rows_group.flags.writeable = False
+        self.row_groups = rows_group
 
     def sid_of(self, poi_id: str) -> Sid:
         return self._by_poi[poi_id]

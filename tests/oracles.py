@@ -104,3 +104,45 @@ def lloyd_oracle(data: np.ndarray, k: int, metric: str, init_centroids: np.ndarr
     dists = distance_table(centroids)
     per_point = np.array([dists[i, labels[i]] for i in range(n)])
     return labels, centroids, float(np.sum(per_point))
+
+
+def rotate_blockwise_oracle(v: np.ndarray, theta) -> np.ndarray:
+    """Blockwise rotation in its two-temporary form: each output half is
+    one expression over the even and odd coordinates, copied into place."""
+    v = np.asarray(v, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    c = np.cos(theta)[..., None]
+    s = np.sin(theta)[..., None]
+    even = v[..., 0::2]
+    odd = v[..., 1::2]
+    out = np.empty(np.broadcast_shapes(v.shape[:-1], theta.shape) + v.shape[-1:], dtype=float)
+    out[..., 0::2] = c * even - s * odd
+    out[..., 1::2] = s * even + c * odd
+    return out
+
+
+def build_geo_vector_oracle(r2, sigma_norm, d_norm, alpha, beta, attributes) -> np.ndarray:
+    """Geo-enhanced vector as a concatenation of separately rotated
+    blocks in the order sigma+, sigma-, d+, d-, a lone block padded with
+    the unrotated copy."""
+    r2 = np.asarray(r2, dtype=float)
+    sigma = np.asarray(sigma_norm, dtype=float)
+    d = np.asarray(d_norm, dtype=float)
+    angles = {"sigma+": alpha * sigma, "sigma-": -alpha * sigma, "d+": beta * d, "d-": -beta * d}
+    blocks = [rotate_blockwise_oracle(r2, angles[a]) for a in ("sigma+", "sigma-", "d+", "d-") if a in attributes]
+    if len(blocks) == 1:
+        blocks.append(np.broadcast_to(r2, blocks[0].shape).copy())
+    return np.concatenate(blocks, axis=-1)
+
+
+def next_residuals_oracle(vectors: np.ndarray, assigned: np.ndarray) -> np.ndarray:
+    """Cosine residuals with masked copies: rows whose assigned centroid
+    has zero norm pass through, the others lose their component along it,
+    r - (<r, c> / ||c||^2) c."""
+    live = np.sum(assigned * assigned, axis=1) > 0.0
+    out = np.empty_like(vectors)
+    r, c = vectors[live], assigned[live]
+    cc = np.sum(c * c, axis=-1, keepdims=True)
+    out[live] = r - (np.sum(r * c, axis=-1, keepdims=True) / cc) * c
+    out[~live] = vectors[~live]
+    return out

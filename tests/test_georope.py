@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import build_geo_vector_oracle, rotate_blockwise_oracle
 
 from geosid.georope import (
     ALL_ATTRIBUTES,
@@ -163,6 +164,78 @@ class TestBuildGeoVector:
         rows = np.tile(self.r2, (5, 1))
         geo = NormalizedGeo(np.linspace(-1.0, 1.0, 5), np.linspace(0.0, math.pi, 5))
         assert build_geo_vector(rows, geo, 0.5, 0.5).shape == (5, 16)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_scale_rejected(self, field, value):
+        scales = {"alpha": 0.5, "beta": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0, got {value}"):
+            build_geo_vector(self.r2, self.geo, scales["alpha"], scales["beta"])
+
+
+_SUBSETS = [
+    frozenset(a for bit, a in enumerate(ALL_ATTRIBUTES) if mask >> bit & 1) for mask in range(1, 16)
+]
+_coord_st = st.floats(min_value=-10, max_value=10, allow_nan=False)
+
+
+@st.composite
+def _geo_batches(draw):
+    """(rows, sigma_norm, d_norm): a batch of even-dimensional rows, or a
+    single row, with scalar angles or one angle per row."""
+    n = draw(st.integers(1, 6))
+    m = 2 * draw(st.integers(1, 4))
+    rows = np.array(draw(st.lists(_coord_st, min_size=n * m, max_size=n * m))).reshape(n, m)
+    if draw(st.booleans()):
+        rows = rows[0]
+    sigma_st = st.floats(-math.pi / 2, math.pi / 2)
+    d_st = st.floats(0.0, math.pi)
+    if draw(st.booleans()):
+        sigma, d = draw(sigma_st), draw(d_st)
+    else:
+        sigma = np.array(draw(st.lists(sigma_st, min_size=n, max_size=n)))
+        d = np.array(draw(st.lists(d_st, min_size=n, max_size=n)))
+    return rows, sigma, d
+
+
+class TestBuildGeoVectorBits:
+    """Blocks written in place are the bits of the concatenated blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_geo_batches(), st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+    def test_matches_concatenated_blocks_for_every_subset(self, batch, alpha, beta):
+        rows, sigma, d = batch
+        geo = NormalizedGeo(sigma, d)
+        for attributes in _SUBSETS:
+            got = build_geo_vector(rows, geo, alpha, beta, attributes)
+            want = build_geo_vector_oracle(rows, sigma, d, alpha, beta, attributes)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @given(_geo_batches())
+    def test_rotate_blockwise_matches_two_temporary_form(self, batch):
+        rows, sigma, _ = batch
+        got = rotate_blockwise(rows, sigma)
+        want = rotate_blockwise_oracle(rows, sigma)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_rows_beyond_one_chunk(self):
+        # more rows than one pass of the rotation kernel takes, with zeros
+        # of both signs, whose sign bits the exact rewrites must keep
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(2500, 6))
+        rows[::7, 1] = -0.0
+        rows[::5, 2] = 0.0
+        sigma = rng.uniform(-math.pi / 2, math.pi / 2, 2500)
+        d = rng.uniform(0.0, math.pi, 2500)
+        sigma[::11] = 0.0
+        for attributes in (frozenset(ALL_ATTRIBUTES), frozenset({"d-"})):
+            got = build_geo_vector(rows, NormalizedGeo(sigma, d), 0.5, 0.75, attributes)
+            want = build_geo_vector_oracle(rows, sigma, d, 0.5, 0.75, attributes)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_subsets_are_all_fifteen(self):
+        assert len(set(_SUBSETS)) == 15
 
 
 class TestVerifiers:

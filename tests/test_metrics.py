@@ -18,7 +18,7 @@ from geosid.metrics import (
     nearest_rank,
     quant_report,
 )
-from geosid.sid import Sid
+from geosid.sid import Sid, SidIndex
 
 A, B, C = Sid(0, 0, 0), Sid(0, 0, 1), Sid(1, 1, 1)
 
@@ -163,6 +163,9 @@ class TestQuantReport:
         lon = np.array([points[i].lon for i in order])
         by_dict = build_quant_report(dict(zip(ids, sids)), dict(zip(ids, points)), (2, 2, 2))
         assert quant_report(codes, lat, lon, (2, 2, 2)) == by_dict
+        # the grouping a SidIndex already holds gives the same report
+        index = SidIndex(dict(zip(ids, sids)))
+        assert quant_report(codes, lat, lon, (2, 2, 2), groups=index.row_groups) == by_dict
 
 
     def test_build(self):

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracles import lloyd_oracle
+from oracles import lloyd_oracle, next_residuals_oracle
 
-from geosid.pipeline import _walk_layers
+from geosid.data_io import SynthConfig, generate_synthetic, load_codebook, save_codebook
+from geosid.pipeline import _walk_layers, run
 from geosid.quantizer import (
     METRIC_COSINE,
     METRIC_EUCLIDEAN,
@@ -46,6 +47,32 @@ class TestCodebookLayer:
     def test_rejects_unknown_metric(self):
         with pytest.raises(ValueError):
             CodebookLayer(centroids=np.eye(2), metric="manhattan")
+
+    @given(st.data())
+    def test_cached_norms_are_the_row_norms(self, data):
+        k, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=k * m, max_size=k * m))
+        layer = CodebookLayer(centroids=np.array(values).reshape(k, m))
+        want = _row_sq_norms(layer.centroids)
+        assert np.array_equal(layer.sq_norms.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(layer.norms.view(np.uint64), np.sqrt(want).view(np.uint64))
+
+    def test_cached_norms_read_only(self):
+        layer = CodebookLayer(centroids=np.eye(2))
+        for arr in (layer.sq_norms, layer.norms):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+
+    def test_cached_norms_after_load_codebook(self, tmp_path):
+        pois, emb = generate_synthetic(SynthConfig(n_semantic_clusters=3, pois_per_cluster=12, embedding_dim=6))
+        for variant in ("pro_geo", "rq_kmeans_euclidean"):
+            cfg = TrainConfig(layer_sizes=(2, 3, 2), seed=4, variant=variant)
+            save_codebook(run(pois, emb, cfg).artifact, tmp_path / "cb.bin")
+            for layer in load_codebook(tmp_path / "cb.bin").layers:
+                want = _row_sq_norms(layer.centroids)
+                assert np.array_equal(layer.sq_norms.view(np.uint64), want.view(np.uint64))
+                assert np.array_equal(layer.norms.view(np.uint64), np.sqrt(want).view(np.uint64))
+                assert not layer.sq_norms.flags.writeable and not layer.norms.flags.writeable
 
 
 class TestTrainConfig:
@@ -296,6 +323,14 @@ def _uneven_blobs(dim: int, seed: int) -> np.ndarray:
 class TestPrecomputedNorms:
     """Row norms computed once per fit and passed down change no bit."""
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 16, 64, 256])
+    def test_row_norms_over_blocks_match_one_pass(self, m):
+        # more rows than one block of the norm kernel, with zero rows
+        x = np.random.default_rng(m).normal(size=(2500, m))
+        x[[0, 1023, 1024, 2499]] = 0.0
+        want = np.sum(x * x, axis=1)
+        assert np.array_equal(_row_sq_norms(x).view(np.uint64), want.view(np.uint64))
+
     @staticmethod
     def _data_with_zeros():
         data = np.random.default_rng(5).normal(size=(300, 6))
@@ -390,6 +425,84 @@ class TestCosineKernel:
                 got = _center_distances(vectors, center, metric, norms)
                 want = _distances_and_labels(vectors, center[None, :], metric, norms)[0][:, 0]
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# small integer grids make ties, zero rows and zero centroids common
+_grid_st = st.one_of(st.integers(-2, 2).map(float), st.floats(-10, 10))
+
+
+@st.composite
+def _rows_and_centroids(draw):
+    n, k, m = draw(st.integers(1, 12)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = np.array(draw(st.lists(_grid_st, min_size=n * m, max_size=n * m))).reshape(n, m)
+    centroids = np.array(draw(st.lists(_grid_st, min_size=k * m, max_size=k * m))).reshape(k, m)
+    return rows, centroids
+
+
+class TestAssignBits:
+    """Labels-only ``assign`` on cached norms picks the labels of the full
+    distance kernel."""
+
+    @settings(max_examples=150)
+    @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
+    @given(case=_rows_and_centroids())
+    def test_labels_match_distance_kernel(self, metric, case):
+        rows, centroids = case
+        layer = CodebookLayer(centroids=centroids, metric=metric)
+        want = _distances_and_labels(rows, layer.centroids, metric)[1]
+        assert np.array_equal(assign(rows, layer), want)
+        assert assign(rows[0], layer) == want[0]
+
+    @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
+    def test_degenerate_cases(self, metric):
+        rows = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [0.0, -3.0]])
+        cases = [
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),  # zero centroid
+            np.array([[1.0, 0.0], [1.0, 0.0]]),  # tied centroids
+            np.array([[1.0, 1.0]]),  # K = 1
+            np.array([[0.0, 0.0]]),  # K = 1, zero centroid
+        ]
+        for centroids in cases:
+            layer = CodebookLayer(centroids=centroids, metric=metric)
+            for r in (rows, rows[1:2], np.zeros((3, 2))):
+                want = _distances_and_labels(r, layer.centroids, metric)[1]
+                assert np.array_equal(assign(r, layer), want)
+
+
+class TestNextResidualsBits:
+    """Residuals from the gathered cached norms are the bits of residuals
+    that recompute the norms, and of the masked-copy formulation."""
+
+    @settings(max_examples=150)
+    @given(case=_rows_and_centroids(), data=st.data())
+    def test_cached_norms_change_no_bit(self, case, data):
+        rows, centroids = case
+        layer = CodebookLayer(centroids=centroids)
+        labels = np.array(data.draw(st.lists(
+            st.integers(0, layer.k - 1), min_size=rows.shape[0], max_size=rows.shape[0])))
+        assigned = layer.centroids[labels]
+        own = next_residuals(rows, assigned, METRIC_COSINE)
+        given_norms = next_residuals(rows, assigned, METRIC_COSINE, layer.sq_norms[labels])
+        want = next_residuals_oracle(rows, assigned)
+        assert np.array_equal(own.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(given_norms.view(np.uint64), want.view(np.uint64))
+
+    def test_zero_centroid_rows_with_cached_norms(self):
+        layer = CodebookLayer(centroids=np.array([[0.0, 0.0], [3.0, 4.0]]))
+        rows = np.array([[1.0, 2.0], [3.0, 4.0], [-1.0, 5.0]])
+        labels = np.array([0, 1, 0])
+        out = next_residuals(rows, layer.centroids[labels], METRIC_COSINE, layer.sq_norms[labels])
+        assert np.array_equal(out[[0, 2]], rows[[0, 2]])
+        assert np.array_equal(out, next_residuals_oracle(rows, layer.centroids[labels]))
+
+    def test_single_vector(self):
+        layer = CodebookLayer(centroids=np.array([[1.0, 2.0], [0.0, 0.0]]))
+        r = np.array([3.0, -1.0])
+        for j in range(layer.k):
+            c = layer.centroids[j]
+            want = next_residuals_oracle(r[None], c[None])[0]
+            assert np.array_equal(next_residuals(r, c, METRIC_COSINE), want)
+            assert np.array_equal(next_residuals(r, c, METRIC_COSINE, layer.sq_norms[j]), want)
 
 
 class TestNextResiduals:

@@ -91,10 +91,11 @@ class TestGroupCodes:
         )
     )
     def test_matches_numpy_unique(self, codes):
-        distinct, groups = group_codes(codes)
+        distinct, groups, order = group_codes(codes)
         want_distinct, want_groups = np.unique(codes, axis=0, return_inverse=True)
         assert np.array_equal(distinct, want_distinct)
         assert np.array_equal(groups, want_groups.reshape(-1))
+        assert np.array_equal(order, np.argsort(groups, kind="stable"))
 
 
 def _index(mapping):
@@ -102,6 +103,13 @@ def _index(mapping):
 
 
 class TestSidIndex:
+    def test_row_groups_are_the_code_grouping(self):
+        index = _index({"b": (1, 0, 0), "a": (0, 2, 0), "c": (1, 0, 0), "d": (0, 0, 1)})
+        assert np.array_equal(index.row_groups, group_codes(index.codes)[1])
+        assert index.row_groups.tolist() == [1, 2, 2, 0]
+        with pytest.raises(ValueError):
+            index.row_groups[0] = 0
+
     def test_groups_sorted_by_id(self):
         index = _index({"b": (0, 0, 0), "a": (0, 0, 0), "c": (1, 0, 0)})
         assert index.group(Sid(0, 0, 0)) == ("a", "b")
