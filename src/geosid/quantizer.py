@@ -212,128 +212,98 @@ def _row_sq_norms(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """All pairwise inner products as one (N, K) matrix product.
-
-    Matmul lowers single-row or single-column products to vector kernels
-    whose accumulation order differs from the matrix path; padding those
-    shapes keeps a (row, centroid) pair on the matrix path. That does not
-    make its bits independent of N: the BLAS may block or thread small row
-    counts differently, and on numpy 2.4.6 with OpenBLAS 0.3.31 (AVX-512)
-    a product over slices of 512 rows or fewer differs from the full
-    product by up to 7e-14. Splitting the rows of a product can change a
-    label.
-    """
-    v = np.vstack([vectors, vectors[:1]]) if vectors.shape[0] == 1 else vectors
-    c = np.vstack([centroids, centroids[:1]]) if centroids.shape[0] == 1 else centroids
-    return (v @ c.T)[: vectors.shape[0], : centroids.shape[0]]
+# a distance block holds at most this many scores (1 MB of float64) ...
+_BLOCK_SCORES = 1 << 17
+# ... and at least this many rows: the BLAS may compute a product over 512
+# rows or fewer to different bits than the same rows inside a larger product
+_BLOCK_FLOOR = 1024
 
 
-def _cosine_similarities(
-    vectors: np.ndarray,
-    centroids: np.ndarray,
-    vector_sq_norms: np.ndarray,
-    centroid_sq_norms: np.ndarray | None = None,
-    centroid_norms: np.ndarray | None = None,
-) -> np.ndarray:
-    """(N, K) cosine similarities; zero-norm rows score 0 and zero-norm
-    centroids -2. ``vector_sq_norms`` is ``_row_sq_norms(vectors)``,
-    computed by the caller; ``centroid_sq_norms`` and ``centroid_norms``
-    are the centroids' squared norms and their roots, computed here when
-    not given (a :class:`CodebookLayer` holds both).
-
-    The division runs in place over the Gram matrix. A product of two
-    positive roots never underflows to 0, so the only zero denominators
-    are those of zero-norm rows and centroids, overwritten afterwards."""
-    sims = _gram(vectors, centroids)
-    if centroid_sq_norms is None:
-        centroid_sq_norms = _row_sq_norms(centroids)
-    if centroid_norms is None:
-        centroid_norms = np.sqrt(centroid_sq_norms)
-    denom = np.multiply.outer(np.sqrt(vector_sq_norms), centroid_norms)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(sims, denom, out=sims)
-    zero_v = vector_sq_norms == 0.0
-    if np.any(zero_v):
-        sims[zero_v] = 0.0
-    zero_c = centroid_sq_norms == 0.0
-    if np.any(zero_c):
-        sims[:, zero_c] = -2.0  # below any true cosine: degenerate sentinel never wins
-    return sims
+def _blocks(n: int, width: int):
+    """Row ranges ``(lo, hi)`` of the distance blocks over ``n`` rows whose
+    product has ``width`` columns: ``max(1024, 2^17 // width)`` rows rounded
+    down to a multiple of 1,024, with a tail shorter than 1,024 rows folded
+    into the block before it. Fewer rows than one block are one range."""
+    step = max(_BLOCK_FLOOR, _BLOCK_SCORES // width) // _BLOCK_FLOOR * _BLOCK_FLOOR
+    bounds = list(range(0, n, step)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] < _BLOCK_FLOOR:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
 
 
-def _sq_euclidean(
-    vectors: np.ndarray,
-    centroids: np.ndarray,
-    vector_sq_norms: np.ndarray,
-    centroid_sq_norms: np.ndarray | None = None,
-) -> np.ndarray:
-    """(N, K) squared Euclidean distances via the expanded inner product
-    ``(||v||^2 - 2 <v, c>) + ||c||^2``, evaluated in place over the Gram
-    matrix. ``vector_sq_norms`` is ``_row_sq_norms(vectors)``, computed by
-    the caller; ``centroid_sq_norms`` is computed here when not given."""
-    if centroid_sq_norms is None:
-        centroid_sq_norms = _row_sq_norms(centroids)
-    dists = _gram(vectors, centroids)
-    # -2g + n is n - 2g exactly: negation and commuted addition are exact
-    np.multiply(dists, -2.0, out=dists)
-    np.add(dists, vector_sq_norms[:, None], out=dists)
-    return np.add(dists, centroid_sq_norms, out=dists)
-
-
-def _scores_and_labels(
-    vectors: np.ndarray,
-    centroids: np.ndarray,
-    metric: str,
+def _nearest(
+    x: np.ndarray,
+    layer: CodebookLayer,
     sq_norms: np.ndarray,
-    centroid_sq_norms: np.ndarray | None = None,
-    centroid_norms: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row best centroid under ``metric`` and the (N, K) scores it was
-    picked from: cosine similarities (argmax, first index wins ties; a
-    zero-norm row goes to index 0) or squared Euclidean distances (argmin).
-    ``sq_norms`` is ``_row_sq_norms(vectors)``; the centroid norms are as
-    in :func:`_cosine_similarities`."""
-    if metric == METRIC_COSINE:
-        sims = _cosine_similarities(vectors, centroids, sq_norms, centroid_sq_norms, centroid_norms)
-        labels = np.argmax(sims, axis=1)
-        labels[sq_norms == 0.0] = 0
-        return sims, labels
-    dists = _sq_euclidean(vectors, centroids, sq_norms, centroid_sq_norms)
-    return dists, np.argmin(dists, axis=1)
+    roots: np.ndarray | None = None,
+    at: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each row's best centroid of ``layer`` and, when ``at`` is given, its
+    distance to centroid ``at[i]``: ``(labels, distances)``, ``distances``
+    None without ``at``. ``sq_norms`` is ``_row_sq_norms(x)``; ``roots``
+    is its square root, computed here for a cosine layer when not given.
 
+    Cosine similarity is ``g / outer(root, cnorm)`` over the Gram block
+    ``g``, then zero rows score 0 and zero centroids -2 (a sentinel below
+    any true cosine, so it never wins); labels are the argmax, first index
+    on ties, and index 0 for a zero row; the distance is ``1 - s``.
+    Squared Euclidean distance is ``(-2g + ||x||^2) + ||c||^2`` with the
+    argmin. A product of two positive roots never underflows to 0, so the
+    only zero denominators are those of the rows and centroids overwritten.
 
-def _distances_and_labels(
-    vectors: np.ndarray,
-    centroids: np.ndarray,
-    metric: str,
-    sq_norms: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distance matrix plus per-row best assignment under ``metric``.
+    The rows are walked in blocks (:func:`_blocks`), so no (N, K) matrix
+    exists and a block's scores stay in cache between the product and the
+    argmax. The 1,024-row floor keeps the bits: with numpy 2.4.6 and
+    OpenBLAS 0.3.31 (AVX-512), a product over 512 rows or fewer differs
+    from the full product by up to 7e-14, while blocks of 1,024 rows or
+    more reproduce it exactly. Fewer rows than one block are one product
+    of the whole input. Matmul lowers a single-row or single-column
+    product to a vector kernel that accumulates in another order, so one
+    row, and a one-centroid layer, is padded to two.
 
-    Cosine distance is 1 - similarity with argmax assignment (first index
-    wins ties); zero-norm rows go to index 0 by convention. Euclidean uses
-    squared distance with argmin. ``sq_norms`` is ``_row_sq_norms(vectors)``
-    when the caller already has it (k-means reuses one per fit).
-    """
-    if sq_norms is None:
-        sq_norms = _row_sq_norms(vectors)
-    scores, labels = _scores_and_labels(vectors, centroids, metric, sq_norms)
-    if metric == METRIC_COSINE:
-        np.subtract(1.0, scores, out=scores)
-    return scores, labels
-
-
-def _center_distances(
-    vectors: np.ndarray, center: np.ndarray, metric: str, sq_norms: np.ndarray
-) -> np.ndarray:
-    """Distance of every row to one center: the column
-    :func:`_distances_and_labels` gives for a one-centroid matrix, without
-    the labels."""
-    if metric == METRIC_COSINE:
-        sims = _cosine_similarities(vectors, center[None, :], sq_norms)[:, 0]
-        return np.subtract(1.0, sims, out=sims)
-    return _sq_euclidean(vectors, center[None, :], sq_norms)[:, 0]
+    A one-centroid pass (k-means++ seeding) takes its product as
+    ``(2, M) @ (M, rows)``: the same bits as ``(rows, M) @ (M, 2)``, and
+    OpenBLAS then packs only the two-row operand into its buffer; packing
+    the whole level input instead keeps about 20 MB of it resident at
+    10,240 x 256."""
+    n, cosine, single = x.shape[0], layer.metric == METRIC_COSINE, layer.k == 1
+    c = np.vstack([layer.centroids] * 2) if single else layer.centroids
+    zero_x = zero_c = None
+    if cosine:
+        if roots is None:
+            roots = np.sqrt(sq_norms)
+        if np.any(sq_norms == 0.0):
+            zero_x = sq_norms == 0.0
+        if np.any(layer.sq_norms == 0.0):
+            zero_c = layer.sq_norms == 0.0
+    labels = np.zeros(n, dtype=np.intp)
+    dists = None if at is None else np.empty(n)
+    for lo, hi in _blocks(n, c.shape[0]):
+        rows = x[lo:hi] if hi - lo > 1 else np.vstack([x[lo:hi]] * 2)
+        # a one-centroid block is the first row of its product, contiguous
+        s = (c @ rows.T)[0, : hi - lo, None] if single else (rows @ c.T)[: hi - lo]
+        if cosine:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(s, np.multiply.outer(roots[lo:hi], layer.norms), out=s)
+            if zero_x is not None:
+                s[zero_x[lo:hi]] = 0.0
+            if zero_c is not None:
+                s[:, zero_c] = -2.0
+        else:
+            np.multiply(s, -2.0, out=s)
+            np.add(s, sq_norms[lo:hi, None], out=s)
+            np.add(s, layer.sq_norms, out=s)
+        if not single:  # one centroid labels every row 0
+            (np.argmax if cosine else np.argmin)(s, axis=1, out=labels[lo:hi])
+            if zero_x is not None:
+                labels[lo:hi][zero_x[lo:hi]] = 0
+        if dists is not None:
+            own = s[:, 0] if single else s[np.arange(hi - lo), at[lo:hi]]
+            if cosine:
+                np.subtract(1.0, own, out=dists[lo:hi])
+            else:
+                dists[lo:hi] = own
+    return labels, dists
 
 
 def assign(r: np.ndarray, layer: CodebookLayer) -> int | np.ndarray:
@@ -341,17 +311,13 @@ def assign(r: np.ndarray, layer: CodebookLayer) -> int | np.ndarray:
     layer's metric. Ties break to the lowest index; on a cosine layer a
     zero-norm residual carries no direction and gets index 0.
 
-    Returns labels only: the labels of :func:`_distances_and_labels`
-    against ``layer.centroids``, from the layer's cached centroid norms
-    and without converting similarities into distances."""
+    Returns labels only, from the layer's cached centroid norms."""
     r = np.asarray(r, dtype=float)
     single = r.ndim == 1
     rows = np.atleast_2d(r)
     if rows.shape[1] != layer.dim:
         raise ValueError(f"residual dimension {rows.shape[1]} != layer dimension {layer.dim}")
-    _, labels = _scores_and_labels(
-        rows, layer.centroids, layer.metric, _row_sq_norms(rows), layer.sq_norms, layer.norms
-    )
+    labels, _ = _nearest(rows, layer, _row_sq_norms(rows))
     return int(labels[0]) if single else labels
 
 
@@ -387,6 +353,7 @@ def kmeans_plus_plus_init(
     metric: str,
     rng: np.random.Generator,
     sq_norms: np.ndarray | None = None,
+    roots: np.ndarray | None = None,
 ) -> np.ndarray:
     """k-means++ seeding under the active metric.
 
@@ -395,30 +362,37 @@ def kmeans_plus_plus_init(
     distance squared, or the squared Euclidean distance itself) to the
     nearest chosen center. Falls back to a uniform draw when every
     remaining point coincides with a chosen center. ``sq_norms`` is
-    ``_row_sq_norms(vectors)`` if the caller has it; otherwise it is
-    computed once here.
+    ``_row_sq_norms(vectors)`` and ``roots`` its square root if the caller
+    has them; otherwise they are computed once here.
     """
     n = vectors.shape[0]
     if sq_norms is None:
         sq_norms = _row_sq_norms(vectors)
+    if roots is None and metric == METRIC_COSINE:
+        roots = np.sqrt(sq_norms)
     centers = np.empty((k, vectors.shape[1]), dtype=float)
     idx = int(rng.integers(n))
     centers[0] = vectors[idx]
     if k == 1:
         return centers
-    d_min = _center_distances(vectors, centers[0], metric, sq_norms)
+    # a one-centre pass labels every row 0: its distances are those at 0
+    at = np.zeros(n, dtype=np.intp)
+
+    def distances(center: np.ndarray) -> np.ndarray:
+        return _nearest(vectors, CodebookLayer(center[None, :], metric), sq_norms, roots, at)[1]
+
+    d_min = distances(centers[0])
     for j in range(1, k):
         weights = np.maximum(d_min, 0.0)
         if metric == METRIC_COSINE:
-            weights = weights**2
+            weights **= 2
         total = float(np.sum(weights))
         if total > 0.0:
             idx = int(rng.choice(n, p=weights / total))
         else:
             idx = int(rng.integers(n))
         centers[j] = vectors[idx]
-        d_new = _center_distances(vectors, centers[j], metric, sq_norms)
-        d_min = np.minimum(d_min, d_new)
+        np.minimum(d_min, distances(centers[j]), out=d_min)
     return centers
 
 
@@ -436,14 +410,14 @@ class KMeansResult:
 
 
 def _steal_farthest(
-    dists: np.ndarray, labels: np.ndarray, counts: np.ndarray, taken: np.ndarray
+    own: np.ndarray, labels: np.ndarray, counts: np.ndarray, taken: np.ndarray
 ) -> int:
-    """Index of the point farthest from its own centroid among points whose
-    cluster keeps >= 2 members; -1 if none qualifies. Ties -> lowest index."""
+    """Index of the point farthest from its own centroid (``own`` holds
+    each row's distance to it) among points whose cluster keeps >= 2
+    members; -1 if none qualifies. Ties -> lowest index."""
     candidates = (counts[labels] >= 2) & ~taken
     if not np.any(candidates):
         return -1
-    own = dists[np.arange(labels.shape[0]), labels]
     return int(np.argmax(np.where(candidates, own, -np.inf)))
 
 
@@ -463,8 +437,11 @@ def kmeans_train(
     The update sorts rows by label (stable, so members keep ascending row
     order) and reduces each cluster's rows with one ``np.add.reduce`` over
     axis 0: the same accumulation as ``data[labels == j].mean(axis=0)``,
-    so results are reproducible bit for bit. Row norms are computed once
-    per fit and shared by seeding, every round and the final objective.
+    so results are reproducible bit for bit. Row norms and their roots are
+    computed once per fit and shared by seeding, every round and the final
+    objective, and every distance pass walks the rows in blocks
+    (:func:`_nearest`). Non-finite ``vectors`` or ``init_centroids`` are
+    rejected, naming the first such row.
 
     Stops with no repairs pending when no assignment changed (a fixed
     point, whatever ``tol`` is) or when the fraction of changed
@@ -492,33 +469,41 @@ def kmeans_train(
         raise ValueError(f"unknown metric {metric!r}")
 
     sq_norms = _row_sq_norms(data)
+    _check_finite("vectors", data, sq_norms)
     if init_centroids is not None:
         centroids = np.array(init_centroids, dtype=float)
         if centroids.shape != (k, data.shape[1]):
             raise ValueError(f"init_centroids shape {centroids.shape} != {(k, data.shape[1])}")
-    else:
+        _check_finite("init_centroids", centroids, _row_sq_norms(centroids))
+    roots = np.sqrt(sq_norms) if metric == METRIC_COSINE else None
+    if init_centroids is None:
         centroids = kmeans_plus_plus_init(
-            data, k, metric, np.random.default_rng(seed), sq_norms=sq_norms
+            data, k, metric, np.random.default_rng(seed), sq_norms=sq_norms, roots=roots
         )
 
-    rows = np.arange(n)
     labels = None
     history: list[float] = []
     converged = False
     iters = 0
     for _ in range(max_iters):
         iters += 1
-        dists, new_labels = _distances_and_labels(data, centroids, metric, sq_norms)
+        layer = CodebookLayer(centroids=centroids, metric=metric)
+        new_labels, previous = _nearest(data, layer, sq_norms, roots, at=labels)
         if labels is not None:
-            history.append(float(np.sum(dists[rows, labels])))
+            history.append(float(np.sum(previous)))
         changed = n if labels is None else int(np.count_nonzero(new_labels != labels))
         labels = new_labels
 
+        # distances to the assigned centroids, one more pass, only for a repair;
+        # a repair moves only rows it marks taken, which no later repair reads
+        own = None
         counts = np.bincount(labels, minlength=k)
         taken = np.zeros(n, dtype=bool)
         repaired = False
         for j in np.nonzero(counts == 0)[0]:
-            p = _steal_farthest(dists, labels, counts, taken)
+            if own is None:
+                own = _nearest(data, layer, sq_norms, roots, at=labels)[1]
+            p = _steal_farthest(own, labels, counts, taken)
             if p < 0:
                 break
             counts[labels[p]] -= 1
@@ -544,7 +529,9 @@ def kmeans_train(
 
         if metric == METRIC_COSINE:
             for j in np.nonzero(_row_sq_norms(centroids) == 0.0)[0]:
-                p = _steal_farthest(dists, labels, counts, taken)
+                if own is None:
+                    own = _nearest(data, layer, sq_norms, roots, at=labels)[1]
+                p = _steal_farthest(own, labels, counts, taken)
                 if p < 0 or sq_norms[p] == 0.0:
                     continue  # all-zero data: keep the zero sentinel
                 counts[labels[p]] -= 1
@@ -556,18 +543,27 @@ def kmeans_train(
     if converged:
         objective = history[-1]
     else:
-        dists, _ = _distances_and_labels(data, centroids, metric, sq_norms)
-        objective = float(np.sum(dists[rows, labels]))
+        layer = CodebookLayer(centroids=centroids, metric=metric)
+        objective = float(np.sum(_nearest(data, layer, sq_norms, roots, at=labels)[1]))
         history.append(objective)
 
     return KMeansResult(
-        layer=CodebookLayer(centroids=centroids, metric=metric),
+        layer=layer,
         labels=labels,
         objective=objective,
         objective_history=tuple(history),
         n_iters=iters,
         converged=converged,
     )
+
+
+def _check_finite(name: str, matrix: np.ndarray, sq_norms: np.ndarray) -> None:
+    """Reject a matrix with a NaN or infinite entry, naming its first such
+    row. A row's squared norm is finite when all its entries are (barring
+    overflow), so only rows whose norm is not are inspected."""
+    for row in np.flatnonzero(~np.isfinite(sq_norms)):
+        if not np.all(np.isfinite(matrix[row])):
+            raise ValueError(f"{name}: non-finite value in row {row}")
 
 
 def next_residuals(

@@ -1,8 +1,10 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
-These are deliberately simple per-point loops: no vectorized shortcuts, no
-k-means++ of their own, no shared code with the package internals beyond
-numpy's elementary operations.
+The Lloyd oracle is a deliberately simple per-point loop: no vectorized
+shortcuts, no k-means++ of its own, no shared code with the package
+internals beyond numpy's elementary operations. The ``*_oracle`` array
+functions are whole-array formulations that the package's blocked or
+in-place kernels must match bit for bit.
 """
 
 import numpy as np
@@ -146,3 +148,45 @@ def next_residuals_oracle(vectors: np.ndarray, assigned: np.ndarray) -> np.ndarr
     out[live] = r - (np.sum(r * c, axis=-1, keepdims=True) / cc) * c
     out[~live] = vectors[~live]
     return out
+
+
+def gram_oracle(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """All pairwise inner products as one (N, K) product over the whole
+    input. A one-row input is padded to two rows, and a one-centroid
+    matrix takes its product as ``(2, M) @ (M, N)``, the orientation of
+    the package's one-centre pass."""
+    v = np.vstack([vectors, vectors[:1]]) if vectors.shape[0] == 1 else vectors
+    if centroids.shape[0] == 1:
+        c = np.vstack([centroids, centroids])
+        return (c @ v.T)[:1, : vectors.shape[0]].T
+    return (v @ centroids.T)[: vectors.shape[0]]
+
+
+def cosine_similarities_oracle(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(N, K) cosine similarities, divided in place over the whole Gram
+    matrix; zero-norm rows score 0, then zero-norm centroids -2."""
+    sims = gram_oracle(vectors, centroids).copy()
+    vector_sq_norms = np.sum(vectors * vectors, axis=1)
+    centroid_sq_norms = np.sum(centroids * centroids, axis=1)
+    denom = np.multiply.outer(np.sqrt(vector_sq_norms), np.sqrt(centroid_sq_norms))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(sims, denom, out=sims)
+    sims[vector_sq_norms == 0.0] = 0.0
+    sims[:, centroid_sq_norms == 0.0] = -2.0
+    return sims
+
+
+def distances_and_labels_oracle(vectors: np.ndarray, centroids: np.ndarray, metric: str):
+    """The (N, K) distance matrix and each row's best centroid: cosine
+    distance 1 - similarity with the argmax (a zero row gets 0), or the
+    squared Euclidean distance (-2g + ||v||^2) + ||c||^2 with the argmin;
+    first index on ties."""
+    if metric == "cosine":
+        sims = cosine_similarities_oracle(vectors, centroids)
+        labels = np.argmax(sims, axis=1)
+        labels[np.sum(vectors * vectors, axis=1) == 0.0] = 0
+        return 1.0 - sims, labels
+    dists = gram_oracle(vectors, centroids) * -2.0
+    dists = dists + np.sum(vectors * vectors, axis=1)[:, None]
+    dists = dists + np.sum(centroids * centroids, axis=1)
+    return dists, np.argmin(dists, axis=1)

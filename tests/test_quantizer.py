@@ -1,10 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import lloyd_oracle, next_residuals_oracle
+from oracles import (
+    cosine_similarities_oracle,
+    distances_and_labels_oracle,
+    gram_oracle,
+    lloyd_oracle,
+    next_residuals_oracle,
+)
 
 from geosid.data_io import SynthConfig, generate_synthetic, load_codebook, save_codebook
 from geosid.pipeline import _walk_layers, run
@@ -14,10 +21,8 @@ from geosid.quantizer import (
     CodebookLayer,
     DegenerateCentroidError,
     TrainConfig,
-    _center_distances,
-    _cosine_similarities,
-    _distances_and_labels,
-    _gram,
+    _blocks,
+    _nearest,
     _row_sq_norms,
     assign,
     build_variant_matrix,
@@ -272,13 +277,57 @@ class TestKMeansTrain:
         data = _uneven_blobs(5, seed=7)
         init = kmeans_plus_plus_init(data, 3, metric, np.random.default_rng(3))
         init = np.vstack([init[:1], init])  # the duplicate centroid 1 never wins a tie
-        _, first = _distances_and_labels(data, init, metric)
+        _, first = distances_and_labels_oracle(data, init, metric)
         assert np.bincount(first, minlength=4)[1] == 0  # so round 1 repairs before its update
         res = kmeans_train(data, 4, metric=metric, init_centroids=init, max_iters=3)
         labels, centroids, objective = lloyd_oracle(data, 4, metric, init, max_iters=3)
         assert np.array_equal(res.labels, labels)
         assert np.array_equal(res.layer.centroids, centroids)
         assert res.objective == objective
+
+    def test_matches_oracle_after_repair_and_zero_centroid_reseed(self):
+        # rows on the x axis tie between centroids 0 and 1, so all go to 0;
+        # centroid 2 duplicates 1 and stays empty, and its repair takes row 0
+        # (every x-axis row is at cosine distance 1, the farthest); the rest
+        # of cluster 0 sums to zero, so round 1 also reseeds centroid 0
+        data = np.array(
+            [[2.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [3.0, 0.0], [-3.0, 0.0], [0.0, -1.0], [1.0, -2.0]]
+        )
+        init = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, -1.0]])
+        for centroids in (init, init[:2]):  # with the repair, and the reseed alone
+            k = centroids.shape[0]
+            rows = data if k == 3 else data[1:]
+            res = kmeans_train(rows, k, metric=METRIC_COSINE, init_centroids=centroids, max_iters=4)
+            labels, want, objective = lloyd_oracle(rows, k, METRIC_COSINE, centroids, max_iters=4)
+            assert np.array_equal(res.labels, labels)
+            assert np.array_equal(res.layer.centroids, want)
+            assert res.objective == objective
+
+    @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected_naming_row(self, metric, value):
+        data = np.random.default_rng(0).normal(size=(20, 3))
+        init = data[:4].copy()
+        bad = data.copy()
+        bad[[7, 12], 1] = value
+        with pytest.raises(ValueError, match=r"^vectors: non-finite value in row 7$"):
+            kmeans_train(bad, 4, metric=metric)
+        init[[2, 3], 0] = value
+        with pytest.raises(ValueError, match=r"^init_centroids: non-finite value in row 2$"):
+            kmeans_train(data, 4, metric=metric, init_centroids=init)
+
+    def test_traced_peak_bounded_by_the_block(self):
+        # one (N, K) float matrix here is 40 MB, and a Lloyd pass that held
+        # whole matrices peaked at 121 MB. tracemalloc sees numpy's arrays,
+        # not the BLAS pack buffer, whose share perfbench's peak_rss_mb shows
+        data = np.random.default_rng(3).normal(size=(10_240, 64))
+        tracemalloc.start()
+        try:
+            kmeans_train(data, 512, seed=1, max_iters=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
     def test_tol_zero_stops_at_fixed_point(self, metric):
@@ -342,11 +391,16 @@ class TestPrecomputedNorms:
         data = self._data_with_zeros()
         centroids = np.random.default_rng(6).normal(size=(5, 6))
         centroids[2] = 0.0  # zero centroid takes the sentinel path
+        sq_norms = _row_sq_norms(data)
         for c in (centroids, centroids[:1]):
-            d_own, l_own = _distances_and_labels(data, c, metric)
-            d_given, l_given = _distances_and_labels(data, c, metric, _row_sq_norms(data))
-            assert np.array_equal(d_own, d_given)
-            assert np.array_equal(l_own, l_given)
+            layer = CodebookLayer(centroids=c, metric=metric)
+            want_d, want_l = distances_and_labels_oracle(data, c, metric)
+            at = np.arange(data.shape[0]) % layer.k
+            for roots in (None, np.sqrt(sq_norms)):
+                labels, dists = _nearest(data, layer, sq_norms, roots, at=at)
+                assert np.array_equal(labels, want_l)
+                want_at = want_d[np.arange(data.shape[0]), at]
+                assert np.array_equal(dists.view(np.uint64), want_at.view(np.uint64))
 
     @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
     def test_kmeans_plus_plus_draws_same_centres(self, metric):
@@ -356,13 +410,13 @@ class TestPrecomputedNorms:
             # seeding as it ran when every centre recomputed the data norms
             centers = np.empty((8, data.shape[1]))
             centers[0] = data[int(rng.integers(data.shape[0]))]
-            d_min = _distances_and_labels(data, centers[:1], metric)[0][:, 0]
+            d_min = distances_and_labels_oracle(data, centers[:1], metric)[0][:, 0]
             for j in range(1, 8):
                 weights = np.maximum(d_min, 0.0)
                 if metric == METRIC_COSINE:
                     weights = weights**2
                 centers[j] = data[int(rng.choice(data.shape[0], p=weights / np.sum(weights)))]
-                d_new = _distances_and_labels(data, centers[j : j + 1], metric)[0][:, 0]
+                d_new = distances_and_labels_oracle(data, centers[j : j + 1], metric)[0][:, 0]
                 d_min = np.minimum(d_min, d_new)
             return centers
 
@@ -378,7 +432,7 @@ class TestPrecomputedNorms:
 def _masked_cosine(vectors, centroids, vector_sq_norms):
     """The cosine kernel as a masked divide into a zeroed buffer: the
     reference the in-place division must match bit for bit."""
-    gram = _gram(vectors, centroids)
+    gram = gram_oracle(vectors, centroids)
     centroid_sq_norms = _row_sq_norms(centroids)
     denom = np.sqrt(vector_sq_norms)[:, None] * np.sqrt(centroid_sq_norms)[None, :]
     sims = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0.0)
@@ -387,8 +441,8 @@ def _masked_cosine(vectors, centroids, vector_sq_norms):
 
 
 class TestCosineKernel:
-    """In-place cosine division against the masked-divide formula, on
-    finite input."""
+    """Cosine division in the oracle and in the blocked kernel against the
+    masked-divide formula, on finite input."""
 
     @staticmethod
     def _cases():
@@ -413,18 +467,73 @@ class TestCosineKernel:
     def test_bit_equal_to_masked_divide(self):
         for vectors, centroids in self._cases():
             norms = _row_sq_norms(vectors)
-            got = _cosine_similarities(vectors, centroids, norms)
             want = _masked_cosine(vectors, centroids, norms)
+            got = cosine_similarities_oracle(vectors, centroids)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            layer = CodebookLayer(centroids=centroids)
+            for j in range(layer.k):
+                at = np.full(vectors.shape[0], j)
+                _, dists = _nearest(vectors, layer, norms, at=at)
+                assert np.array_equal(dists.view(np.uint64), (1.0 - want[:, j]).view(np.uint64))
 
     @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
     def test_center_distances_is_the_one_centroid_column(self, metric):
         for vectors, centroids in self._cases():
             norms = _row_sq_norms(vectors)
+            at = np.zeros(vectors.shape[0], dtype=int)
             for center in centroids:
-                got = _center_distances(vectors, center, metric, norms)
-                want = _distances_and_labels(vectors, center[None, :], metric, norms)[0][:, 0]
+                layer = CodebookLayer(centroids=center[None, :], metric=metric)
+                labels, got = _nearest(vectors, layer, norms, at=at)
+                want = distances_and_labels_oracle(vectors, center[None, :], metric)[0][:, 0]
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert not np.any(labels)
+
+
+class TestBlockedKernel:
+    """Labels and distances at given labels from the blocked kernel are the
+    bits of the whole-matrix oracle, for inputs on either side of every
+    block edge."""
+
+    def test_block_rule(self):
+        assert list(_blocks(10_500, 64)) == [
+            (0, 2048), (2048, 4096), (4096, 6144), (6144, 8192), (8192, 10_500)  # 260-row tail folded
+        ]
+        assert list(_blocks(2 * 16_384 + 1024, 8)) == [(0, 16_384), (16_384, 32_768), (32_768, 33_792)]
+        assert list(_blocks(3000, 512)) == [(0, 1024), (1024, 3000)]
+        assert list(_blocks(70_000, 2)) == [(0, 65_536), (65_536, 70_000)]  # a one-centre pass
+        assert list(_blocks(66_000, 2)) == [(0, 66_000)]
+        assert list(_blocks(256, 64)) == [(0, 256)]
+        assert list(_blocks(1, 1000)) == [(0, 1)]
+
+    @settings(max_examples=20, deadline=None)
+    @pytest.mark.parametrize("k", [1, 8, 64])
+    @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
+    @given(data=st.data())
+    def test_bit_equal_to_whole_matrix_oracle(self, metric, k, data):
+        m = data.draw(st.integers(1, 6), "m")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        grid = data.draw(st.booleans(), "grid")  # small integers: ties and exact zeros
+        zero_centroid = data.draw(st.booleans(), "zero centroid")
+        tied = k > 1 and data.draw(st.booleans(), "tied centroids")
+        b = 2048 if k == 64 else 16_384  # rows per block at K=64 and K=8
+        for n in (1, 7, 1023, 1024, 1025, b - 1, b, b + 1, b + 1023, 3 * b + 5):
+            if grid:
+                x = rng.integers(-2, 3, size=(n, m)).astype(float)
+                c = rng.integers(-2, 3, size=(k, m)).astype(float)
+            else:
+                x, c = rng.normal(size=(n, m)), rng.normal(size=(k, m))
+            x[rng.random(n) < 0.01] = 0.0
+            if zero_centroid:
+                c[rng.integers(k)] = 0.0
+            if tied:
+                c[-1] = c[0]
+            layer = CodebookLayer(centroids=c, metric=metric)
+            at = rng.integers(k, size=n)
+            labels, dists = _nearest(x, layer, _row_sq_norms(x), at=at)
+            want_d, want_l = distances_and_labels_oracle(x, c, metric)
+            assert np.array_equal(labels, want_l)
+            assert np.array_equal(dists.view(np.uint64), want_d[np.arange(n), at].view(np.uint64))
+            assert np.array_equal(_nearest(x, layer, _row_sq_norms(x))[0], want_l)
 
 
 # small integer grids make ties, zero rows and zero centroids common
@@ -449,7 +558,7 @@ class TestAssignBits:
     def test_labels_match_distance_kernel(self, metric, case):
         rows, centroids = case
         layer = CodebookLayer(centroids=centroids, metric=metric)
-        want = _distances_and_labels(rows, layer.centroids, metric)[1]
+        want = distances_and_labels_oracle(rows, layer.centroids, metric)[1]
         assert np.array_equal(assign(rows, layer), want)
         assert assign(rows[0], layer) == want[0]
 
@@ -465,7 +574,7 @@ class TestAssignBits:
         for centroids in cases:
             layer = CodebookLayer(centroids=centroids, metric=metric)
             for r in (rows, rows[1:2], np.zeros((3, 2))):
-                want = _distances_and_labels(r, layer.centroids, metric)[1]
+                want = distances_and_labels_oracle(r, layer.centroids, metric)[1]
                 assert np.array_equal(assign(r, layer), want)
 
 

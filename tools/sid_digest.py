@@ -3,7 +3,9 @@
 For every variant, every ``rope_layer`` placement and every seed, the
 script trains on a row-permuted ``generate_synthetic`` corpus, saves the
 codebook, then replays the saved file on the corpus in 256-POI batches of
-``PoiRecord``s, the serving shape. The digest covers, per case, the saved
+``PoiRecord``s, the serving shape. One more case trains pro_geo at
+K=64/64/64 on a larger corpus, whose level inputs span several distance
+blocks and end in a folded tail. The digest covers, per case, the saved
 codebook bytes, the report and the replayed SIDs.
 
 Two builds print the same digest exactly when they produce the same bits
@@ -40,13 +42,18 @@ MAX_ITERS = 20
 SEEDS = (1, 11)
 CORPUS_SEED = 3
 BATCH = 256
+# 21 x 500 = 10,500 POIs: at K=64 a distance block holds 2,048 rows, so each
+# level walks five blocks and folds a 260-row tail into the last
+BLOCKED_CLUSTERS = 21
+BLOCKED_PER_CLUSTER = 500
+BLOCKED_LAYER_SIZES = (64, 64, 64)
 
 
-def _corpus():
+def _corpus(clusters: int, per_cluster: int):
     pois, emb = generate_synthetic(
         SynthConfig(
-            n_semantic_clusters=CLUSTERS,
-            pois_per_cluster=PER_CLUSTER,
+            n_semantic_clusters=clusters,
+            pois_per_cluster=per_cluster,
             geo_subclusters_per_semantic=3,
             embedding_dim=DIM,
             seed=CORPUS_SEED,
@@ -69,7 +76,7 @@ def _case_digest(pois, emb, cfg: TrainConfig, path: Path) -> str:
 
 
 def main() -> int:
-    pois, emb = _corpus()
+    pois, emb = _corpus(CLUSTERS, PER_CLUSTER)
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "codebook.bin"
@@ -81,6 +88,9 @@ def main() -> int:
                         variant=variant, rope_layer=rope_layer,
                     )
                     total.update(_case_digest(pois, emb, cfg, path).encode())
+        pois, emb = _corpus(BLOCKED_CLUSTERS, BLOCKED_PER_CLUSTER)
+        cfg = TrainConfig(layer_sizes=BLOCKED_LAYER_SIZES, max_iters=MAX_ITERS, seed=SEEDS[0])
+        total.update(_case_digest(pois, emb, cfg, path).encode())
     print(total.hexdigest())
     return 0
 
