@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .geo import (
     EARTH_RADIUS_KM,
     AntimeridianWarning,
-    EarthModel,
     EmptyClusterError,
     GeoPoint,
     LocalPolar,

@@ -9,9 +9,10 @@ On-disk layout:
   row-major, then a u64 checksum (first 8 bytes of the SHA-256 of header
   plus payload). The fixed-stride layout keeps the file memory-mappable.
 * Codebook artifact: magic ``GSCB``, u32 version, u64 header length, a
-  UTF-8 JSON header (config snapshot, layer shapes, per-cluster geo
-  references, SID assignments), the centroid matrices as float32
-  little-endian blocks in layer order, and the same trailing checksum.
+  UTF-8 JSON header (config snapshot, layer shapes, the columns of each
+  level's :class:`FrameTable` as rows ``[j1, (j2,) lat, lon, d_scale_km]``,
+  SID assignments), the centroid matrices as float32 little-endian blocks
+  in layer order, and the same trailing checksum.
 
 Storage is 32-bit; computation stays double precision. Artifact centroids
 are snapped to float32 at construction so save/load round-trips bit-exact.
@@ -40,7 +41,6 @@ from .quantizer import CodebookLayer, TrainConfig, enhanced_dim
 from .sid import Sid, SidIndex
 
 __all__ = [
-    "ClusterGeo",
     "CodebookArtifact",
     "CodebookFormatError",
     "Corpus",
@@ -139,61 +139,74 @@ class Corpus(Sequence[PoiRecord]):
         return map(PoiRecord, self.ids, locations, range(len(self.ids)), self.category)
 
 
-@dataclass(frozen=True)
-class ClusterGeo:
-    """Frozen training-time geo reference of one cluster: its centroid and
-    the distance scale used to normalize member distances."""
-
-    center: GeoPoint
-    d_scale_km: float
-
-    def __post_init__(self) -> None:
-        if not self.d_scale_km > 0:
-            raise ValueError(f"d_scale_km must be positive, got {self.d_scale_km}")
-
-
 class FrameTable:
-    """Columnar form of a cell -> ClusterGeo map for batch lookups.
-
-    ``depth`` 1 keys cells by j1 (layer-2 frames), ``depth`` 2 by (j1, j2)
-    (layer-3 frames). Cells are held as sorted packed keys (j1, or
-    j1*K2 + j2) beside centre lat/lon and distance-scale columns, so the
-    table grows with the cells seen in training, not with K1*K2.
+    """One level's geo frames as read-only columns, one row per cell in
+    ascending order: ``codes``, the (C, depth) int64 cells (j1 for the
+    layer-2 frames, (j1, j2) for the layer-3 frames), each cell's centre
+    ``lat`` and ``lon`` in degrees (longitude wrapped as in
+    :class:`GeoPoint`) and its distance ``scale`` in km. Rejects a negative
+    code, an invalid centre, a scale that is not finite and positive and a
+    repeated cell, naming the row and the cell. ``cell in table`` takes a
+    j1 or a (j1, j2) tuple.
     """
 
-    def __init__(self, frames: Mapping, layer_sizes: tuple[int, ...], depth: int):
-        cell_keys, refs = list(frames), list(frames.values())
-        keys = np.array(cell_keys, dtype=np.int64).reshape(len(cell_keys), depth)
-        bad = np.any((keys < 0) | (keys >= np.asarray(layer_sizes[:depth])), axis=1)
-        if np.any(bad):
-            key = cell_keys[int(np.argmax(bad))]
-            raise ValueError(f"geo frame cell {key} outside layer sizes {tuple(layer_sizes)}")
-        self._k2 = layer_sizes[1]
-        cells = self._pack(keys)
-        order = np.argsort(cells)
-        self.cells = cells[order]
-        self.lat = np.array([refs[i].center.lat for i in order], dtype=float)
-        self.lon = np.array([refs[i].center.lon for i in order], dtype=float)
-        self.scale = np.array([refs[i].d_scale_km for i in order], dtype=float)
+    def __init__(self, codes: np.ndarray, lat: np.ndarray, lon: np.ndarray, scale: np.ndarray):
+        codes = np.array(codes, dtype=np.int64)
+        lat, lon, scale = (np.array(col, dtype=np.float64) for col in (lat, lon, scale))
+        if codes.shape[1:] not in ((1,), (2,)) or {lat.shape, lon.shape, scale.shape} != {codes.shape[:1]}:
+            raise ValueError("frames need a (C, 1) or (C, 2) cell array and three C-row columns")
+        for bad, why in (
+            (np.any(codes < 0, axis=1), "negative cell code"),
+            (~(np.abs(lat) <= 90.0) | ~np.isfinite(lon), "invalid latitude or longitude"),
+            (~(np.isfinite(scale) & (scale > 0.0)), "d_scale_km must be finite and positive"),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                cell = tuple(codes[i].tolist())
+                raise ValueError(f"row {i} cell {cell}: {why}; got ({lat[i]}, {lon[i]}, {scale[i]})")
+        order = np.lexsort(codes.T[::-1])
+        codes = codes[order]
+        repeated = np.all(codes[1:] == codes[:-1], axis=1)
+        if repeated.any():
+            at = int(np.argmax(repeated))
+            cell = tuple(codes[at].tolist())
+            raise ValueError(f"row {order[at + 1]} cell {cell}: repeats row {order[at]}")
+        self.codes, self.lat, self.lon, self.scale = codes, lat[order], _wrap_lon(lon[order]), scale[order]
+        for col in (self.codes, self.lat, self.lon, self.scale):
+            col.flags.writeable = False
+        # lookup keys: j1, or j1 * radix + j2, unique while j2 < radix
+        self._radix = int(codes[:, -1].max(initial=-1)) + 1
+        self._weights = np.array([self._radix, 1])[-codes.shape[1] :]
+        self._keys = codes @ self._weights
 
-    def _pack(self, codes: np.ndarray) -> np.ndarray:
-        return codes[:, 0] if codes.shape[1] == 1 else codes[:, 0] * self._k2 + codes[:, 1]
+    def __len__(self) -> int:
+        return self.codes.shape[0]
+
+    def __contains__(self, cell) -> bool:
+        cell = cell if isinstance(cell, tuple) else (cell,)
+        return len(cell) == self.codes.shape[1] and bool(np.any(np.all(self.codes == cell, axis=1)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FrameTable):
+            return NotImplemented
+        columns = ("codes", "lat", "lon", "scale")
+        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
 
     def polar(
         self, codes: np.ndarray, lat: np.ndarray, lon: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(d_km, sigma_rad, d_scale_km) of each row in the frame of its cell.
 
-        ``codes`` is (N, depth). Rows whose cell has no frame get the
-        neutral frame: zero distance and angle, scale 1.
+        ``codes`` is (N, depth) and non-negative. Rows whose cell has no
+        frame get the neutral frame: zero distance and angle, scale 1.
         """
         n = codes.shape[0]
         d_km, sigma, scale = np.zeros(n), np.zeros(n), np.ones(n)
-        if self.cells.size == 0:
+        if self._keys.size == 0:
             return d_km, sigma, scale
-        cells = self._pack(codes)
-        pos = np.minimum(np.searchsorted(self.cells, cells), self.cells.size - 1)
-        rows = np.nonzero(self.cells[pos] == cells)[0]
+        keys = codes @ self._weights
+        pos = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        rows = np.nonzero((self._keys[pos] == keys) & (codes[:, -1] < self._radix))[0]
         cell = pos[rows]
         d_km[rows], sigma[rows] = local_polar(self.lat[cell], self.lon[cell], lat[rows], lon[rows])
         scale[rows] = self.scale[cell]
@@ -321,14 +334,14 @@ def load_corpus(
 
 class CodebookArtifact:
     """Everything needed to assign new POIs: the trained layers, the frozen
-    per-cluster geo references, and the training-time SID index.
+    per-cluster geo frames, and the training-time SID index.
 
-    ``geo_second`` maps j1 -> ClusterGeo (present when the rotary stage
-    feeds the second layer); ``geo_third`` maps (j1, j2) -> ClusterGeo
-    (present when it feeds the third). Centroids are snapped to float32 on
-    construction: the storage encoding, so round-trips are bit-exact.
-    ``second_frames``/``third_frames`` are :class:`FrameTable` views of the
-    two maps for replay, built once here; treat the maps as read-only.
+    ``geo_second`` is the :class:`FrameTable` of the j1 cells (filled when
+    the rotary stage feeds the second layer) and ``geo_third`` that of the
+    (j1, j2) cells (filled when it feeds the third); None gives an empty
+    table. Every cell must lie within the layer sizes. Centroids are
+    snapped to float32 on construction: the storage encoding, so
+    round-trips are bit-exact.
     """
 
     format_version = _FORMAT_VERSION
@@ -337,8 +350,8 @@ class CodebookArtifact:
         self,
         config: TrainConfig,
         layers: tuple[CodebookLayer, CodebookLayer, CodebookLayer],
-        geo_second: Mapping[int, ClusterGeo],
-        geo_third: Mapping[tuple[int, int], ClusterGeo],
+        geo_second: FrameTable | None,
+        geo_third: FrameTable | None,
         sid_index: SidIndex,
     ):
         if len(layers) != 3:
@@ -353,11 +366,21 @@ class CodebookArtifact:
         self._check_dims(config, snapped)
         self.config = config
         self.layers = snapped
-        self.geo_second = dict(sorted(geo_second.items()))
-        self.geo_third = dict(sorted(geo_third.items()))
-        self.second_frames = FrameTable(self.geo_second, config.layer_sizes, 1)
-        self.third_frames = FrameTable(self.geo_third, config.layer_sizes, 2)
+        self.geo_second = self._check_frames(geo_second, 1, config.layer_sizes)
+        self.geo_third = self._check_frames(geo_third, 2, config.layer_sizes)
         self.sid_index = sid_index
+
+    @staticmethod
+    def _check_frames(table: FrameTable | None, depth: int, layer_sizes: tuple[int, ...]) -> FrameTable:
+        if table is None:
+            return FrameTable(np.empty((0, depth), dtype=np.int64), (), (), ())
+        if table.codes.shape[1] != depth:
+            raise ValueError(f"geo frame cells need {depth} codes, got {table.codes.shape[1]}")
+        bad = np.any(table.codes >= np.asarray(layer_sizes[:depth]), axis=1)
+        if bad.any():
+            cell = tuple(table.codes[np.argmax(bad)].tolist())
+            raise ValueError(f"geo frame cell {cell} outside layer sizes {layer_sizes}")
+        return table
 
     @staticmethod
     def _check_dims(config: TrainConfig, layers: tuple[CodebookLayer, ...]) -> None:
@@ -402,7 +425,18 @@ def _config_to_dict(cfg: TrainConfig) -> dict:
     }
 
 
+_INT64 = range(-(2**63), 2**63)
+
+
+def _is_number(value) -> bool:
+    """A JSON float, or an int (not a bool) within int64."""
+    return type(value) is float or (type(value) is int and value in _INT64)
+
+
 def _config_from_dict(data: dict) -> TrainConfig:
+    for name in ("tol", "alpha", "beta", "d_scale_km"):
+        if not (_is_number(data[name]) or (name == "d_scale_km" and data[name] is None)):
+            raise ValueError(f"config {name} must be a number, got {data[name]!r}")
     return TrainConfig(
         layer_sizes=tuple(data["layer_sizes"]),
         max_iters=data["max_iters"],
@@ -417,6 +451,12 @@ def _config_from_dict(data: dict) -> TrainConfig:
     )
 
 
+def _frame_rows(table: FrameTable) -> list[list]:
+    """A frame table as header rows ``[j1, (j2,) lat, lon, d_scale_km]``."""
+    columns = (*table.codes.T.tolist(), table.lat.tolist(), table.lon.tolist(), table.scale.tolist())
+    return list(map(list, zip(*columns)))
+
+
 def save_codebook(artifact: CodebookArtifact, path: str | Path) -> None:
     """Serialize an artifact; byte-identical for equal artifacts."""
     index = artifact.sid_index
@@ -426,14 +466,8 @@ def save_codebook(artifact: CodebookArtifact, path: str | Path) -> None:
         "layers": [
             {"k": layer.k, "dim": layer.dim, "metric": layer.metric} for layer in artifact.layers
         ],
-        "geo_second": [
-            [j1, g.center.lat, g.center.lon, g.d_scale_km]
-            for j1, g in artifact.geo_second.items()
-        ],
-        "geo_third": [
-            [j1, j2, g.center.lat, g.center.lon, g.d_scale_km]
-            for (j1, j2), g in artifact.geo_third.items()
-        ],
+        "geo_second": _frame_rows(artifact.geo_second),
+        "geo_third": _frame_rows(artifact.geo_third),
         "assignments": list(map(list, zip(index.ids, *index.codes.T.tolist()))),
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
@@ -452,20 +486,23 @@ def _why(exc: Exception) -> str:
     return f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
-def _parse_frames(path, name: str, rows: list, depth: int) -> dict:
-    """Header ``name`` rows ``[j1, (j2,) lat, lon, d_scale_km]`` as a
-    cell -> ClusterGeo map, keyed by j1 (depth 1) or (j1, j2) (depth 2)."""
-    frames = {}
+def _parse_frames(path, name: str, rows: list, depth: int) -> FrameTable:
+    """Header ``name`` rows ``[j1, (j2,) lat, lon, d_scale_km]`` as the
+    depth-``depth`` :class:`FrameTable`. A row of the wrong shape or field
+    type, or one the table rejects, is named."""
     for i, row in enumerate(rows):
-        try:
-            if not isinstance(row, list) or len(row) != depth + 3:
-                raise ValueError(f"expected a list of {depth + 3} fields")
-            *cell, lat, lon, scale = row
-            key = int(cell[0]) if depth == 1 else (int(cell[0]), int(cell[1]))
-            frames[key] = ClusterGeo(GeoPoint(lat, lon), scale)
-        except (TypeError, ValueError) as exc:
-            raise CodebookFormatError(f"{path}: {name} row {i} {row!r}: {exc}") from exc
-    return frames
+        if not (
+            isinstance(row, list) and len(row) == depth + 3 and all(map(_is_number, row[depth:]))
+            and all(type(code) is int and code in _INT64 for code in row[:depth])
+        ):
+            why = f"expected {depth + 3} fields: integer cell codes, then lat, lon and d_scale_km"
+            raise CodebookFormatError(f"{path}: {name} row {i} {row!r}: {why}")
+    codes = np.array([row[:depth] for row in rows], dtype=np.int64).reshape(len(rows), depth)
+    fields = np.array([row[depth:] for row in rows], dtype=np.float64).reshape(len(rows), 3)
+    try:
+        return FrameTable(codes, *fields.T)
+    except ValueError as exc:
+        raise CodebookFormatError(f"{path}: {name} {exc}") from exc
 
 
 def load_codebook(path: str | Path) -> CodebookArtifact:

@@ -17,7 +17,6 @@ __all__ = [
     "EARTH_RADIUS_KM",
     "AntimeridianWarning",
     "EmptyClusterError",
-    "EarthModel",
     "GeoPoint",
     "LocalPolar",
     "azimuth_rad",
@@ -82,18 +81,7 @@ class LocalPolar:
             raise ValueError(f"azimuth {self.sigma} outside (-pi, +pi]")
 
 
-@dataclass(frozen=True)
-class EarthModel:
-    """Spherical earth model; only the mean radius matters here."""
-
-    radius_km: float = EARTH_RADIUS_KM
-
-    def __post_init__(self) -> None:
-        if not self.radius_km > 0:
-            raise ValueError(f"earth radius must be positive, got {self.radius_km}")
-
-
-def haversine_km(a: GeoPoint, b: GeoPoint, earth: EarthModel = EarthModel()) -> float:
+def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points in kilometers.
 
     Uses the haversine form 2*R*asin(sqrt(sin^2(dlat/2) +
@@ -106,7 +94,7 @@ def haversine_km(a: GeoPoint, b: GeoPoint, earth: EarthModel = EarthModel()) -> 
     h = math.sin(dphi / 2.0) ** 2 + math.cos(phi_a) * math.cos(phi_b) * math.sin(dpsi / 2.0) ** 2
     # float round-off can push h a hair past 1 for antipodal points
     h = min(1.0, max(0.0, h))
-    return 2.0 * earth.radius_km * math.asin(math.sqrt(h))
+    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
 
 
 def azimuth_rad(center: GeoPoint, p: GeoPoint) -> float:
@@ -155,17 +143,13 @@ def geo_centroid(points: list[GeoPoint]) -> GeoPoint:
     return GeoPoint(lat_sum / n, lon_sum / n)
 
 
-def to_local_polar(center: GeoPoint, p: GeoPoint, earth: EarthModel = EarthModel()) -> LocalPolar:
+def to_local_polar(center: GeoPoint, p: GeoPoint) -> LocalPolar:
     """Map ``p`` into the local polar frame anchored at ``center``."""
-    return LocalPolar(haversine_km(center, p, earth), azimuth_rad(center, p))
+    return LocalPolar(haversine_km(center, p), azimuth_rad(center, p))
 
 
 def local_polar(
-    lat0: np.ndarray,
-    lon0: np.ndarray,
-    lat: np.ndarray,
-    lon: np.ndarray,
-    earth: EarthModel = EarthModel(),
+    lat0: np.ndarray, lon0: np.ndarray, lat: np.ndarray, lon: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Columnar :func:`to_local_polar`: ``(d_km, sigma_rad)`` of each point
     (``lat``, ``lon``) in the frame anchored at (``lat0``, ``lon0``).
@@ -183,7 +167,7 @@ def local_polar(
     cos0, sin0 = np.cos(phi0), np.sin(phi0)
     cosp, sinp = np.cos(phip), np.sin(phip)
     h = np.sin(dphi / 2.0) ** 2 + cos0 * cosp * np.sin(dpsi / 2.0) ** 2
-    d_km = 2.0 * earth.radius_km * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    d_km = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
     x = cos0 * sinp - sin0 * cosp * np.cos(dpsi)
     y = np.sin(dpsi) * cosp
     sigma = np.where((x == 0.0) & (y == 0.0), 0.0, np.arctan2(y, x))

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geo import EarthModel, GeoPoint, group_centroids, local_polar
+from .geo import GeoPoint, group_centroids, local_polar
 from .sid import Sid, group_codes
 
 # Not called here; kept bound because perfbench/tracer.py wraps these module
@@ -121,11 +121,9 @@ def _cur(counts: np.ndarray, capacities: tuple[int, int, int]) -> float:
     return counts.size / total
 
 
-def _dispersion(
-    groups: np.ndarray, lat: np.ndarray, lon: np.ndarray, earth: EarthModel
-) -> tuple[float, float, float]:
+def _dispersion(groups: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> tuple[float, float, float]:
     center_lat, center_lon = group_centroids(groups, lat, lon)
-    dists, _ = local_polar(center_lat[groups], center_lon[groups], lat, lon, earth)
+    dists, _ = local_polar(center_lat[groups], center_lon[groups], lat, lon)
     dists.sort()
     return float(dists.mean()), float(nearest_rank(dists, 0.90)), float(nearest_rank(dists, 0.95))
 
@@ -161,9 +159,7 @@ def _locations(ids: list[str], locations: Mapping[str, GeoPoint]) -> tuple[np.nd
 
 
 def geo_dispersion(
-    assignments: Mapping[str, Sid],
-    locations: Mapping[str, GeoPoint],
-    earth: EarthModel = EarthModel(),
+    assignments: Mapping[str, Sid], locations: Mapping[str, GeoPoint]
 ) -> tuple[float, float, float]:
     """(avg, p90, p95) distance in km from POIs to their SID group centroid.
 
@@ -174,7 +170,7 @@ def geo_dispersion(
     """
     ids, codes = _code_array(assignments, "geo_dispersion")
     lat, lon = _locations(ids, locations)
-    return _dispersion(_triples(codes)[0], lat, lon, earth)
+    return _dispersion(_triples(codes)[0], lat, lon)
 
 
 def quant_report(
@@ -182,7 +178,6 @@ def quant_report(
     lat: np.ndarray,
     lon: np.ndarray,
     capacities: tuple[int, int, int],
-    earth: EarthModel = EarthModel(),
     groups: np.ndarray | None = None,
 ) -> QuantReport:
     """The full metrics row for an (N, 3) code array with the POIs' degree
@@ -192,7 +187,7 @@ def quant_report(
     if codes.shape[0] == 0:
         raise ValueError("quant_report of an empty assignment set")
     groups, counts = _triples(codes) if groups is None else (groups, np.bincount(groups))
-    avg, p90, p95 = _dispersion(groups, lat, lon, earth)
+    avg, p90, p95 = _dispersion(groups, lat, lon)
     return QuantReport(
         cur=_cur(counts, capacities),
         icr=_icr(counts),
@@ -208,12 +203,11 @@ def build_quant_report(
     assignments: Mapping[str, Sid],
     locations: Mapping[str, GeoPoint],
     capacities: tuple[int, int, int],
-    earth: EarthModel = EarthModel(),
 ) -> QuantReport:
     """Assemble the full metrics row for one assignment set."""
     ids, codes = _code_array(assignments, "build_quant_report")
     lat, lon = _locations(ids, locations)
-    return quant_report(codes, lat, lon, capacities, earth)
+    return quant_report(codes, lat, lon, capacities)
 
 
 def hit_at_n(case: RankingCase, n: int) -> int:

@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from . import quantizer
-from .data_io import ClusterGeo, CodebookArtifact, Corpus, PoiRecord
-from .geo import GeoPoint, group_centroids, local_polar
+from .data_io import CodebookArtifact, Corpus, FrameTable, PoiRecord
+from .geo import group_centroids, local_polar
 from .metrics import QuantReport, quant_report
 from .quantizer import (
     METRIC_COSINE,
@@ -144,8 +144,8 @@ def _columns(
 
 def _cluster_frames(
     keys: np.ndarray, lat: np.ndarray, lon: np.ndarray, d_scale_override: float | None
-) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
-    """Geo frame per cluster key plus per-POI polar arrays.
+) -> tuple[FrameTable, np.ndarray, np.ndarray, np.ndarray]:
+    """The frame table of the cluster keys plus per-POI polar arrays.
 
     ``keys`` is (N, 1) for j1 clusters or (N, 2) for (j1, j2) clusters.
     The distance scale defaults to the cluster's maximum member distance
@@ -162,25 +162,19 @@ def _cluster_frames(
         cluster_scale = np.zeros(cells.shape[0])
         np.maximum.at(cluster_scale, groups, d_km)
         cluster_scale[cluster_scale == 0.0] = 1.0
-    frames = {
-        (cell[0] if len(cell) == 1 else tuple(cell)): ClusterGeo(GeoPoint(c_lat, c_lon), c_scale)
-        for cell, c_lat, c_lon, c_scale in zip(
-            cells.tolist(), center_lat.tolist(), center_lon.tolist(), cluster_scale.tolist()
-        )
-    }
-    return frames, d_km, sigma, cluster_scale[groups]
+    return FrameTable(cells, center_lat, center_lon, cluster_scale), d_km, sigma, cluster_scale[groups]
 
 
 @dataclass(eq=False)
 class _Walked:
     """One distinct state of a layer walk after level l: the code column,
-    layer and frame map of each level 1..l, and the residuals that feed
-    level l+1 (None after the last level, and once level l+1's inputs are
-    built)."""
+    layer and fitted frame table (or None) of each level 1..l, and the
+    residuals that feed level l+1 (None after the last level, and once
+    level l+1's inputs are built)."""
 
     labels: tuple[np.ndarray, ...]
     layers: tuple[CodebookLayer, ...]
-    frames: tuple[dict, ...]
+    frames: tuple[FrameTable | None, ...]
     residuals: np.ndarray | None
 
 
@@ -191,19 +185,19 @@ def _level_input(
     cfg: TrainConfig,
     level: int,
     artifact: CodebookArtifact | None,
-) -> tuple[np.ndarray, dict]:
-    """Level ``level``'s input under ``cfg`` and its fitted frame map: the
-    parent's residuals, geo-enhanced in the frame of each row's parent cell
-    if the level is in ``cfg.geo_levels``. The map is empty on replay and
-    for a plain level."""
-    x, frames = parent.residuals, {}
+) -> tuple[np.ndarray, FrameTable | None]:
+    """Level ``level``'s input under ``cfg`` and its fitted frame table:
+    the parent's residuals, geo-enhanced in the frame of each row's parent
+    cell if the level is in ``cfg.geo_levels``. The table is None on
+    replay and for a plain level."""
+    x, frames = parent.residuals, None
     if level in cfg.geo_levels:
         with _stage(f"layer-{level} geo enhancement"):
             cells = np.column_stack(parent.labels)
             if artifact is None:
                 frames, d_km, sigma, scale = _cluster_frames(cells, lat, lon, cfg.d_scale_km)
             else:
-                table = (artifact.second_frames, artifact.third_frames)[level - 2]
+                table = (artifact.geo_second, artifact.geo_third)[level - 2]
                 d_km, sigma, scale = table.polar(cells, lat, lon)
             x = build_variant_matrix(x, d_km, sigma, cfg, scale)
     return x, frames
@@ -212,7 +206,7 @@ def _level_input(
 def _cluster_level(
     parent: _Walked,
     x: np.ndarray,
-    frames: dict,
+    frames: FrameTable | None,
     cfg: TrainConfig,
     level: int,
     artifact: CodebookArtifact | None,
@@ -245,7 +239,7 @@ def _walk_layers(
     lon: np.ndarray,
     cfgs: Sequence[TrainConfig],
     artifact: CodebookArtifact | None = None,
-) -> list[tuple[np.ndarray, tuple[CodebookLayer, ...], tuple[dict, ...]]]:
+) -> list[tuple[np.ndarray, tuple[CodebookLayer, ...], tuple[FrameTable | None, ...]]]:
     """Encode every row level by level under each configuration: fit the
     levels, or replay ``artifact`` (``cfgs`` is then its one config).
 
@@ -261,12 +255,12 @@ def _walk_layers(
     configurations have the same number of layers.
 
     Returns, per configuration, the (N, L) codes, the layers and the frame
-    maps of levels 2..L (empty on replay and for plain levels).
+    tables of levels 2..L (None on replay and for plain levels).
     """
     states = [_Walked((), (), (), data)] * len(cfgs)
     for level in range(1, len(cfgs[0].layer_sizes) + 1):
         keys = [0] if len(cfgs) == 1 else [cfg.prefix_key(level) for cfg in cfgs]
-        inputs = {}  # prefix key -> (parent, input, frame map, config)
+        inputs = {}  # prefix key -> (parent, input, frame table, config)
         for key, parent, cfg in zip(keys, states, cfgs):
             if key not in inputs:
                 inputs[key] = (parent, *_level_input(parent, lat, lon, cfg, level, artifact), cfg)
@@ -413,13 +407,11 @@ def config_label(cfg: TrainConfig) -> str:
 
 
 def compare(
-    pois: Sequence[PoiRecord],
-    embeddings: np.ndarray,
-    cfgs: Sequence[TrainConfig],
-    labels: Sequence[str] | None = None,
+    pois: Sequence[PoiRecord], embeddings: np.ndarray, cfgs: Sequence[TrainConfig]
 ) -> list[tuple[str, QuantReport]]:
     """One report row per configuration, in input order: each row's report
-    equals ``run(pois, embeddings, cfg).report``.
+    equals ``run(pois, embeddings, cfg).report``. Rows are labelled by
+    ``config_label``; a label's n-th occurrence, n >= 2, ends in ``#n``.
 
     All configurations walk the layers together in one thread, and a
     level that several of them share (``TrainConfig.prefix_key``) is
@@ -429,17 +421,11 @@ def compare(
     """
     if len(cfgs) < 2:
         raise ValueError("compare needs at least 2 configurations")
-    if labels is None:
-        labels = [config_label(cfg) for cfg in cfgs]
-        counts: dict[str, int] = {}
-        unique = []
-        for label in labels:
-            counts[label] = counts.get(label, 0) + 1
-            unique.append(label if counts[label] == 1 else f"{label} #{counts[label]}")
-        labels = unique
-    elif len(labels) != len(cfgs):
-        raise ValueError("labels must match configurations one-to-one")
-
+    counts: dict[str, int] = {}
+    labels = []
+    for label in map(config_label, cfgs):
+        counts[label] = counts.get(label, 0) + 1
+        labels.append(label if counts[label] == 1 else f"{label} #{counts[label]}")
     return list(zip(labels, _reports(pois, embeddings, cfgs)))
 
 

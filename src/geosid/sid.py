@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geo import EarthModel, GeoPoint, haversine_km
+from .geo import GeoPoint, haversine_km
 
 __all__ = [
     "EmptySidGroupError",
@@ -229,7 +229,6 @@ def resolve_closest(
     user: GeoPoint,
     locations: Mapping[str, GeoPoint],
     k: int = 10,
-    earth: EarthModel = EarthModel(),
 ) -> list[str]:
     """The up-to-``k`` POIs of the SID group nearest to ``user``.
 
@@ -240,7 +239,7 @@ def resolve_closest(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     members = index.group(sid)
-    ranked = sorted(members, key=lambda pid: (haversine_km(user, locations[pid], earth), pid))
+    ranked = sorted(members, key=lambda pid: (haversine_km(user, locations[pid]), pid))
     return ranked[: min(k, len(ranked))]
 
 

@@ -190,3 +190,31 @@ def distances_and_labels_oracle(vectors: np.ndarray, centroids: np.ndarray, metr
     dists = dists + np.sum(vectors * vectors, axis=1)[:, None]
     dists = dists + np.sum(centroids * centroids, axis=1)
     return dists, np.argmin(dists, axis=1)
+
+
+def cluster_frames_oracle(keys: np.ndarray, lat: np.ndarray, lon: np.ndarray, d_scale_override):
+    """Per-cluster frames as a dict, one Python object per cell: cell (j1,
+    or (j1, j2)) -> (GeoPoint centre, scale), plus the per-POI polar
+    arrays. The scale is the override, or the cluster's largest member
+    distance with 1 km for a cluster whose members all sit on its centre.
+    It calls the package's own centroid and polar kernels: what it keeps is
+    the per-cell form that the column frame table replaced."""
+    from geosid.geo import GeoPoint, group_centroids, local_polar
+    from geosid.sid import group_codes
+
+    cells, groups, _ = group_codes(keys)
+    center_lat, center_lon = group_centroids(groups, lat, lon)
+    d_km, sigma = local_polar(center_lat[groups], center_lon[groups], lat, lon)
+    if d_scale_override is not None:
+        cluster_scale = np.full(cells.shape[0], float(d_scale_override))
+    else:
+        cluster_scale = np.zeros(cells.shape[0])
+        np.maximum.at(cluster_scale, groups, d_km)
+        cluster_scale[cluster_scale == 0.0] = 1.0
+    frames = {
+        (cell[0] if len(cell) == 1 else tuple(cell)): (GeoPoint(c_lat, c_lon), c_scale)
+        for cell, c_lat, c_lon, c_scale in zip(
+            cells.tolist(), center_lat.tolist(), center_lon.tolist(), cluster_scale.tolist()
+        )
+    }
+    return frames, d_km, sigma, cluster_scale[groups]

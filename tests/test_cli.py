@@ -142,13 +142,16 @@ class TestDeterminism:
     def test_round_trip_equality(self, corpus_dir, tmp_path):
         from geosid.data_io import load_codebook, save_codebook
 
-        artifact_path = tmp_path / "cb.bin"
-        _train(corpus_dir, artifact_path)
-        artifact = load_codebook(artifact_path)
-        resaved = tmp_path / "resaved.bin"
-        save_codebook(artifact, resaved)
-        assert resaved.read_bytes() == artifact_path.read_bytes()
-        assert load_codebook(resaved) == artifact
+        for rope in ("third", "second", "both"):
+            artifact_path = tmp_path / f"cb-{rope}.bin"
+            assert _train(corpus_dir, artifact_path, extra=("--rope-layer", rope)) == 0
+            artifact = load_codebook(artifact_path)
+            assert (len(artifact.geo_second) > 0) == (rope != "third")
+            assert (len(artifact.geo_third) > 0) == (rope != "second")
+            resaved = tmp_path / f"resaved-{rope}.bin"
+            save_codebook(artifact, resaved)
+            assert resaved.read_bytes() == artifact_path.read_bytes()
+            assert load_codebook(resaved) == artifact
 
 
 class TestExitCodes:

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geosid.data_io import (
-    ClusterGeo,
     CodebookArtifact,
     CodebookFormatError,
     Corpus,
     CorpusFormatError,
+    FrameTable,
     PoiRecord,
     SynthConfig,
     export_geojson,
@@ -348,12 +348,9 @@ def _tiny_artifact():
         CodebookLayer(centroids=np.array([[0.5, 0.5], [-0.5, 0.5]])),
         CodebookLayer(centroids=np.random.default_rng(0).normal(size=(2, 8))),
     )
-    geo_third = {
-        (0, 0): ClusterGeo(GeoPoint(30.0, 110.0), 12.5),
-        (1, 0): ClusterGeo(GeoPoint(31.0, 111.0), 3.25),
-    }
+    geo_third = FrameTable(np.array([[0, 0], [1, 0]]), [30.0, 31.0], [110.0, 111.0], [12.5, 3.25])
     index = SidIndex({"a": Sid(0, 0, 1), "b": Sid(1, 0, 0)})
-    return CodebookArtifact(cfg, layers, {}, geo_third, index)
+    return CodebookArtifact(cfg, layers, None, geo_third, index)
 
 
 def _saved_with_header(tmp_path, edit):
@@ -386,7 +383,7 @@ class TestCodebookArtifact:
         from_mapping = _tiny_artifact()
         index = SidIndex(["b", "a"], np.array([[1, 0, 0], [0, 0, 1]]))
         from_columns = CodebookArtifact(
-            from_mapping.config, from_mapping.layers, {}, from_mapping.geo_third, index
+            from_mapping.config, from_mapping.layers, None, from_mapping.geo_third, index
         )
         assert from_columns == from_mapping
         save_codebook(from_mapping, tmp_path / "mapping.bin")
@@ -425,6 +422,15 @@ class TestCodebookArtifact:
             (lambda h: h["geo_third"][0].__setitem__(2, "north"), "geo_third row 0 "),
             (lambda h: h.update(geo_second=[[0, 95.0, 10.0, 1.0]]), "geo_second row 0 .*latitude"),
             (lambda h: h.update(geo_third=[[0, 5, 30.0, 110.0, 1.0]]), "inconsistent artifact .*outside"),
+            (lambda h: h["geo_third"].append([0, 0, 30.0, 110.0, 999.0]), r"geo_third row 2 cell \(0, 0\): repeats row 0"),
+            (lambda h: h["geo_third"][0].__setitem__(0, 0.9), r"geo_third row 0 \[0\.9, .*integer cell codes"),
+            (lambda h: h["geo_third"][1].__setitem__(1, "0"), r"geo_third row 1 .*integer cell codes"),
+            (lambda h: h["geo_third"][1].__setitem__(4, True), r"geo_third row 1 .*d_scale_km"),
+            (lambda h: h["geo_third"][0].__setitem__(3, None), r"geo_third row 0 .*d_scale_km"),
+            (lambda h: h["geo_third"][0].__setitem__(3, float("inf")), r"geo_third row 0 cell \(0, 0\): .*longitude"),
+            (lambda h: h["geo_third"][1].__setitem__(0, 2**64), r"geo_third row 1 .*integer cell codes"),
+            (lambda h: h["geo_third"][1].__setitem__(0, -1), r"geo_third row 1 cell \(-1, 0\): negative"),
+            (lambda h: h["config"].update(d_scale_km=True), r"malformed header \(config d_scale_km must be a number"),
         ],
     )
     def test_malformed_header_entry_named(self, tmp_path, edit, match):
@@ -442,7 +448,7 @@ class TestCodebookArtifact:
             CodebookLayer(centroids=np.eye(2)),  # should be 8-dim for full pro_geo
         )
         with pytest.raises(ValueError, match="layer-3"):
-            CodebookArtifact(cfg, layers, {}, {}, SidIndex({"a": Sid(0, 0, 0)}))
+            CodebookArtifact(cfg, layers, None, None, SidIndex({"a": Sid(0, 0, 0)}))
 
     def test_version_byte_rejected(self, tmp_path):
         path = tmp_path / "cb.bin"
@@ -474,6 +480,57 @@ class TestCodebookArtifact:
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(CodebookFormatError, match="magic"):
             load_codebook(path)
+
+
+class TestFrameTable:
+    def _table(self):
+        # rows out of cell order; the table sorts them
+        return FrameTable(np.array([[1, 0], [0, 1]]), [31.0, 30.0], [190.0, 110.0], [3.25, 12.5])
+
+    def test_columns_sorted_wrapped_and_read_only(self):
+        table = self._table()
+        assert table.codes.tolist() == [[0, 1], [1, 0]]
+        assert table.lat.tolist() == [30.0, 31.0]
+        assert table.lon.tolist() == [110.0, -170.0]
+        assert table.scale.tolist() == [12.5, 3.25]
+        assert len(table) == 2
+        assert table == FrameTable(np.array([[0, 1], [1, 0]]), [30.0, 31.0], [110.0, -170.0], [12.5, 3.25])
+        assert table != FrameTable(np.array([[0, 1]]), [30.0], [110.0], [12.5])
+        with pytest.raises(ValueError):
+            table.scale[0] = 1.0
+
+    def test_membership_never_aliases(self):
+        table = self._table()
+        # packed as j1 * 2 + j2, (0, 2) and (1, 0) would share a key
+        assert (1, 0) in table and (0, 1) in table
+        assert (0, 2) not in table and (0, 0) not in table
+        assert 0 not in table and (1, 0, 0) not in table
+        assert np.int64(3) in FrameTable(np.array([[3]]), [1.0], [2.0], [1.0])
+
+    def test_polar_gives_unknown_cells_the_neutral_frame(self):
+        table = self._table()
+        codes = np.array([[1, 0], [0, 2], [0, 1], [5, 0]])
+        lat, lon = np.full(4, 30.5), np.full(4, 110.5)
+        d_km, sigma, scale = table.polar(codes, lat, lon)
+        assert scale.tolist() == [3.25, 1.0, 12.5, 1.0]
+        assert d_km[1] == d_km[3] == sigma[1] == sigma[3] == 0.0
+        assert d_km[0] > 0.0 and d_km[2] > 0.0
+
+    @pytest.mark.parametrize(
+        "codes, lat, lon, scale, match",
+        [
+            ([[0, 0], [-1, 0]], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], r"row 1 cell \(-1, 0\): negative"),
+            ([[0, 0], [0, 1]], [0.0, 91.0], [0.0, 0.0], [1.0, 1.0], r"row 1 cell \(0, 1\): invalid latitude"),
+            ([[0, 0], [0, 1]], [0.0, 0.0], [np.nan, 0.0], [1.0, 1.0], r"row 0 cell \(0, 0\): .*longitude"),
+            ([[0, 0], [0, 1]], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], r"row 1 cell \(0, 1\): d_scale_km"),
+            ([[0, 1], [0, 0], [0, 1]], [0.0] * 3, [0.0] * 3, [1.0] * 3, r"row 2 cell \(0, 1\): repeats row 0"),
+            ([[0, 0], [0, 1]], [0.0], [0.0, 0.0], [1.0, 1.0], "C-row columns"),
+            ([0, 1], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], r"\(C, 1\) or \(C, 2\)"),
+        ],
+    )
+    def test_invalid_rows_named(self, codes, lat, lon, scale, match):
+        with pytest.raises(ValueError, match=match):
+            FrameTable(np.array(codes), lat, lon, scale)
 
 
 class TestSynthConfig:

@@ -8,7 +8,6 @@ from hypothesis import example, given, strategies as st
 from geosid.geo import (
     EARTH_RADIUS_KM,
     AntimeridianWarning,
-    EarthModel,
     EmptyClusterError,
     GeoPoint,
     LocalPolar,
@@ -51,15 +50,6 @@ class TestLocalPolar:
             LocalPolar(d, sigma)
 
 
-class TestEarthModel:
-    def test_default_radius(self):
-        assert EarthModel().radius_km == 6371.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            EarthModel(0.0)
-
-
 class TestHaversine:
     def test_identical_points(self):
         assert haversine_km(GeoPoint(0, 0), GeoPoint(0, 0)) == 0.0
@@ -85,10 +75,6 @@ class TestHaversine:
         d_ba = haversine_km(b, a)
         assert abs(d_ab - d_ba) <= 1e-9
         assert 0.0 <= d_ab <= math.pi * EARTH_RADIUS_KM
-
-    def test_custom_earth(self):
-        small = EarthModel(radius_km=1.0)
-        assert haversine_km(GeoPoint(0, 0), GeoPoint(0, 180), small) == pytest.approx(math.pi)
 
 
 class TestAzimuth:
@@ -211,12 +197,6 @@ class TestLocalPolarKernel:
     def test_antipodal_distance_is_half_circumference(self):
         d_km, _ = local_polar(np.array([0.0]), np.array([0.0]), np.array([0.0]), np.array([180.0]))
         assert d_km[0] == pytest.approx(math.pi * EARTH_RADIUS_KM, abs=KERNEL_TOL)
-
-    def test_custom_earth(self):
-        d_km, _ = local_polar(
-            np.array([0.0]), np.array([0.0]), np.array([0.0]), np.array([180.0]), EarthModel(1.0)
-        )
-        assert d_km[0] == pytest.approx(math.pi)
 
     @given(st.lists(st.tuples(lat_st, lon_st, lat_st, lon_st), min_size=1, max_size=40))
     @example([(0.0, 0.0, 0.0, 180.0), (90.0, 0.0, -90.0, 0.0), (5.0, 5.0, 5.0, 5.0)])

@@ -4,13 +4,16 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import lloyd_oracle
+from oracles import cluster_frames_oracle, lloyd_oracle
 
 import geosid.pipeline
 from geosid.data_io import (
     CodebookArtifact,
     Corpus,
+    FrameTable,
     PoiRecord,
     SynthConfig,
     generate_synthetic,
@@ -108,7 +111,7 @@ class TestRun:
         cfg = TrainConfig(layer_sizes=(2, 2, 2), seed=5, variant="cosine_only")
         res = run(pois, embeddings, cfg)
         assert res.artifact.layers[2].dim == embeddings.shape[1]
-        assert res.artifact.geo_second == {} and res.artifact.geo_third == {}
+        assert len(res.artifact.geo_second) == 0 and len(res.artifact.geo_third) == 0
 
     def test_layer_sizes_must_be_three(self, small_corpus):
         pois, embeddings = small_corpus
@@ -181,7 +184,44 @@ class TestRun:
     def test_d_scale_override_respected(self, small_corpus):
         pois, embeddings = small_corpus
         res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=2, d_scale_km=55.0))
-        assert all(ref.d_scale_km == 55.0 for ref in res.artifact.geo_third.values())
+        assert len(res.artifact.geo_third) > 0
+        assert np.all(res.artifact.geo_third.scale == 55.0)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+_frame_rows = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.floats(-90.0, 90.0),
+        st.floats(-180.0, 180.0, exclude_min=True),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestClusterFrames:
+    @settings(max_examples=150, deadline=None)
+    @given(_frame_rows, st.sampled_from([1, 2]), st.sampled_from([None, 0.5, 55.0]))
+    @example([(0, 0, 10.0, 180.0), (0, 1, 10.0, 180.0), (3, 0, -90.0, 0.0)], 2, None)
+    @pytest.mark.filterwarnings("ignore::geosid.geo.AntimeridianWarning")
+    def test_table_equals_dict_oracle(self, rows, depth, d_scale):
+        codes = np.array([row[:2] for row in rows], dtype=np.int64)[:, :depth]
+        lat = np.array([row[2] for row in rows])
+        lon = np.array([row[3] for row in rows])
+        table, d_km, sigma, scale = geosid.pipeline._cluster_frames(codes, lat, lon, d_scale)
+        frames, d_want, sigma_want, scale_want = cluster_frames_oracle(codes, lat, lon, d_scale)
+        cells = sorted(frames)
+        assert table.codes.tolist() == [list(cell) if depth == 2 else [cell] for cell in cells]
+        assert _bits(table.lat) == _bits([frames[cell][0].lat for cell in cells])
+        assert _bits(table.lon) == _bits([frames[cell][0].lon for cell in cells])
+        assert _bits(table.scale) == _bits([frames[cell][1] for cell in cells])
+        for got, want in ((d_km, d_want), (sigma, sigma_want), (scale, scale_want)):
+            assert _bits(got) == _bits(want)
 
 
 class TestAssignWithCodebook:
@@ -220,13 +260,13 @@ class TestAssignWithCodebook:
     def test_neutral_frame_for_unseen_cells(self, small_corpus, monkeypatch):
         pois, embeddings = small_corpus
         res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=11))
-        cells = list(res.artifact.geo_third)
-        assert len(cells) >= 2
-        kept = {cell: res.artifact.geo_third[cell] for cell in cells[::2]}
+        table = res.artifact.geo_third
+        assert len(table) >= 2
+        kept = FrameTable(table.codes[::2], table.lat[::2], table.lon[::2], table.scale[::2])
         half = CodebookArtifact(
             config=res.artifact.config,
             layers=res.artifact.layers,
-            geo_second={},
+            geo_second=None,
             geo_third=kept,  # POIs in the dropped cells take the neutral path
             sid_index=res.artifact.sid_index,
         )
@@ -259,8 +299,8 @@ class TestAssignWithCodebook:
         bare = CodebookArtifact(
             config=res.artifact.config,
             layers=res.artifact.layers,
-            geo_second={},
-            geo_third={},
+            geo_second=None,
+            geo_third=None,
             sid_index=res.artifact.sid_index,
         )
         assert len(assign_with_codebook(bare, pois, embeddings)) == len(pois)
@@ -292,13 +332,14 @@ class TestAssignWithCodebook:
     def test_frame_cell_outside_layer_sizes_rejected(self, small_corpus):
         pois, embeddings = small_corpus
         res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=11))
-        some_frame = next(iter(res.artifact.geo_third.values()))
+        table = res.artifact.geo_third
         with pytest.raises(ValueError, match=r"\(0, 2\)"):
             CodebookArtifact(
                 config=res.artifact.config,
                 layers=res.artifact.layers,
-                geo_second={},
-                geo_third={(0, 2): some_frame},  # j2 == K2 would alias cell (1, 0)
+                geo_second=None,
+                # j2 == K2 would alias cell (1, 0)
+                geo_third=FrameTable(np.array([[0, 2]]), table.lat[:1], table.lon[:1], table.scale[:1]),
                 sid_index=res.artifact.sid_index,
             )
 
