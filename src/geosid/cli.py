@@ -18,8 +18,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data_io import (
+    CodebookArtifact,
     CodebookFormatError,
     CorpusFormatError,
     SynthConfig,
@@ -30,8 +33,9 @@ from .data_io import (
     save_codebook,
     save_corpus,
 )
+from .geo import GeoPoint
 from .georope import ALL_ATTRIBUTES, verify_distance_shift_identity, verify_inner_product_identity
-from .metrics import build_quant_report
+from .metrics import quant_report
 from .pipeline import (
     PipelineError,
     SweepGrid,
@@ -74,16 +78,6 @@ def _parse_k(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _parse_attributes(text: str) -> frozenset[str]:
-    attrs = frozenset(part.strip() for part in text.split(",") if part.strip())
-    unknown = attrs - set(ALL_ATTRIBUTES)
-    if unknown:
-        raise ValueError(
-            f"unknown geo attributes {sorted(unknown)}; expected a subset of {list(ALL_ATTRIBUTES)}"
-        )
-    return attrs
-
-
 def _parse_grid(text: str) -> SweepGrid:
     pairs = []
     for chunk in text.split(";"):
@@ -111,7 +105,7 @@ def _config_from_args(args: argparse.Namespace, variant: str | None = None) -> T
         tol=args.tol,
         seed=args.seed,
         variant=variant if variant is not None else args.variant,
-        geo_attributes=_parse_attributes(args.attributes),
+        geo_attributes=frozenset(part.strip() for part in args.attributes.split(",") if part.strip()),
         alpha=args.alpha,
         beta=args.beta,
         rope_layer=args.rope_layer,
@@ -197,17 +191,24 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _indexed_locations(args: argparse.Namespace) -> tuple[CodebookArtifact, np.ndarray, np.ndarray]:
+    """The codebook and the corpus lat/lon columns in its SID index (id) order."""
     artifact = load_codebook(args.codebook)
-    pois, _ = load_corpus(*_corpus_paths(args.corpus))
-    locations = {poi.id: poi.location for poi in pois}
-    assignments = artifact.sid_index.assignments
-    missing = [pid for pid in assignments if pid not in locations]
+    corpus, _ = load_corpus(*_corpus_paths(args.corpus))
+    row_of = dict(zip(corpus.ids, range(len(corpus))))
+    rows = [row_of.get(pid, -1) for pid in artifact.sid_index.ids]
+    missing = [pid for pid, row in zip(artifact.sid_index.ids, rows) if row < 0]
     if missing:
         raise CorpusFormatError(
             f"corpus lacks locations for {len(missing)} assigned POIs (first: {missing[0]!r})"
         )
-    report = build_quant_report(assignments, locations, artifact.config.layer_sizes)
+    return artifact, corpus.lat[rows], corpus.lon[rows]
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    artifact, lat, lon = _indexed_locations(args)
+    index = artifact.sid_index
+    report = quant_report(index.codes, lat, lon, artifact.config.layer_sizes, groups=index.row_groups)
     rows = [(config_label(artifact.config), report)]
     text = format_quant_table(rows) if args.format == "table" else format_quant_records(rows)
     _write_output(text, args.out)
@@ -216,11 +217,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     variants = [part.strip() for part in args.variants.split(",") if part.strip()]
-    unknown = set(variants) - set(VARIANTS)
-    if unknown:
-        raise ValueError(f"unknown variants {sorted(unknown)}; expected a subset of {VARIANTS}")
-    pois, matrix = load_corpus(*_corpus_paths(args.corpus))
     cfgs = [_config_from_args(args, variant=v) for v in variants]
+    pois, matrix = load_corpus(*_corpus_paths(args.corpus))
     rows = compare(pois, matrix, cfgs)
     text = format_quant_table(rows) if args.format == "table" else format_quant_records(rows)
     _write_output(text, args.out)
@@ -265,15 +263,9 @@ def _cmd_verify_lemma(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_geojson(args: argparse.Namespace) -> int:
-    artifact = load_codebook(args.codebook)
-    pois, _ = load_corpus(*_corpus_paths(args.corpus))
-    locations = {poi.id: poi.location for poi in pois}
+    artifact, lat, lon = _indexed_locations(args)
     assignments = artifact.sid_index.assignments
-    missing = [pid for pid in assignments if pid not in locations]
-    if missing:
-        raise CorpusFormatError(
-            f"corpus lacks locations for {len(missing)} assigned POIs (first: {missing[0]!r})"
-        )
+    locations = dict(zip(assignments, map(GeoPoint, lat.tolist(), lon.tolist())))
     export_geojson(assignments, locations, args.out)
     print(f"wrote {len(assignments)} features to {args.out}", file=sys.stderr)
     return 0

@@ -29,8 +29,9 @@ import hashlib
 import json
 import math
 import struct
+from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -217,6 +218,13 @@ def _digest64(data: bytes | memoryview) -> bytes:
     return hashlib.sha256(data).digest()[:8]
 
 
+def _check_unique_ids(ids: Sequence[str]) -> None:
+    """Reject a repeated POI id, naming the first id that repeats."""
+    if len(set(ids)) != len(ids):
+        poi_id = next(poi_id for poi_id, n in Counter(ids).items() if n > 1)
+        raise ValueError(f"duplicate POI id {poi_id!r}")
+
+
 # ---------------------------------------------------------------------------
 # corpus
 
@@ -227,12 +235,14 @@ def save_corpus(
     poi_path: str | Path,
     embedding_path: str | Path,
 ) -> None:
-    """Write the JSONL metadata file and the binary embedding matrix."""
+    """Write the JSONL metadata file and the binary embedding matrix.
+    Rejects a repeated POI id, which ``load_corpus`` would reject."""
     matrix = np.ascontiguousarray(embeddings, dtype=np.float32)
     if matrix.ndim != 2 or matrix.shape[0] != len(pois):
         raise ValueError(
             f"embedding matrix shape {matrix.shape} does not match {len(pois)} POI records"
         )
+    _check_unique_ids([poi.id for poi in pois])
     with open(poi_path, "w", encoding="utf-8") as fh:
         for poi in pois:
             rec = {"id": poi.id, "lat": poi.location.lat, "lon": poi.location.lon}
@@ -393,6 +403,8 @@ class CodebookArtifact:
         for level, (layer, k) in enumerate(zip(layers, config.layer_sizes), start=1):
             if layer.k != k:
                 raise ValueError(f"layer {level} has {layer.k} centroids, config says {k}")
+            if layer.metric != config.metric:
+                raise ValueError(f"layer {level} metric {layer.metric}, config says {config.metric}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CodebookArtifact):
@@ -411,18 +423,10 @@ class CodebookArtifact:
 
 
 def _config_to_dict(cfg: TrainConfig) -> dict:
-    return {
-        "layer_sizes": list(cfg.layer_sizes),
-        "max_iters": cfg.max_iters,
-        "tol": cfg.tol,
-        "seed": cfg.seed,
-        "variant": cfg.variant,
-        "geo_attributes": sorted(cfg.geo_attributes),
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "rope_layer": cfg.rope_layer,
-        "d_scale_km": cfg.d_scale_km,
-    }
+    """The header's config entry: every field in declaration order."""
+    data = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
+    data["geo_attributes"] = sorted(cfg.geo_attributes)
+    return data
 
 
 _INT64 = range(-(2**63), 2**63)
@@ -434,21 +438,11 @@ def _is_number(value) -> bool:
 
 
 def _config_from_dict(data: dict) -> TrainConfig:
-    for name in ("tol", "alpha", "beta", "d_scale_km"):
-        if not (_is_number(data[name]) or (name == "d_scale_km" and data[name] is None)):
-            raise ValueError(f"config {name} must be a number, got {data[name]!r}")
-    return TrainConfig(
-        layer_sizes=tuple(data["layer_sizes"]),
-        max_iters=data["max_iters"],
-        tol=data["tol"],
-        seed=data["seed"],
-        variant=data["variant"],
-        geo_attributes=frozenset(data["geo_attributes"]),
-        alpha=data["alpha"],
-        beta=data["beta"],
-        rope_layer=data["rope_layer"],
-        d_scale_km=data["d_scale_km"],
-    )
+    """The header's config entry as a checked ``TrainConfig``."""
+    try:
+        return TrainConfig(**{f.name: data[f.name] for f in fields(TrainConfig)})
+    except ValueError as exc:
+        raise ValueError(f"config {exc}") from exc
 
 
 def _frame_rows(table: FrameTable) -> list[list]:

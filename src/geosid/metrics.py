@@ -12,7 +12,7 @@ externally supplied prediction list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -64,15 +64,7 @@ class QuantReport:
             raise ValueError("p90 cannot exceed p95")
 
     def as_dict(self) -> dict:
-        return {
-            "cur": self.cur,
-            "icr": self.icr,
-            "avg_dist_km": self.avg_dist_km,
-            "p90_dist_km": self.p90_dist_km,
-            "p95_dist_km": self.p95_dist_km,
-            "group_count": self.group_count,
-            "poi_count": self.poi_count,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import quantizer
-from .data_io import CodebookArtifact, Corpus, FrameTable, PoiRecord
+from .data_io import CodebookArtifact, Corpus, FrameTable, PoiRecord, _check_unique_ids
 from .geo import group_centroids, local_polar
 from .metrics import QuantReport, quant_report
 from .quantizer import (
@@ -123,23 +123,29 @@ def _columns(
     """The input boundary: the POI ids, the float64 embedding matrix and
     the latitude and longitude columns (degrees). A :class:`Corpus` hands
     over its own columns; any other sequence of records is read in one
-    pass, each record's location once. Rejects a matrix that does not have
-    one row per POI, or a non-finite row, naming its POI."""
+    pass, each record's location once. Rejects a repeated POI id, a matrix
+    that does not have one row per POI, an odd embedding dimension, or a
+    non-finite row, naming its POI."""
     data = np.ascontiguousarray(embeddings, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] != len(pois):
         raise ValueError(f"embedding matrix shape {data.shape} does not match {len(pois)} POIs")
+    if data.shape[1] % 2 != 0:
+        raise ValueError(f"embedding dimension must be even, got {data.shape[1]}")
     if not np.isfinite(data).all():
         row = int(np.argmin(np.isfinite(data).all(axis=1)))
         raise ValueError(f"non-finite embedding for POI {pois[row].id!r}")
     if isinstance(pois, Corpus):
-        return pois.ids, data, pois.lat, pois.lon
-    ids, lat, lon = [], [], []
-    for poi in pois:
-        location = poi.location
-        ids.append(poi.id)
-        lat.append(location.lat)
-        lon.append(location.lon)
-    return ids, data, np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64)
+        ids, lat, lon = pois.ids, pois.lat, pois.lon
+    else:
+        ids, lat, lon = [], [], []
+        for poi in pois:
+            location = poi.location
+            ids.append(poi.id)
+            lat.append(location.lat)
+            lon.append(location.lon)
+        lat, lon = np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64)
+    _check_unique_ids(ids)
+    return ids, data, lat, lon
 
 
 def _cluster_frames(
@@ -226,7 +232,7 @@ def _cluster_level(
             layer = artifact.layers[col]
             labels = assign(x, layer)
         residuals = None
-        if level < len(cfg.layer_sizes):
+        if level < 3:
             # only the cosine projection reads the centroid norms
             norms = layer.sq_norms[labels] if cfg.metric == METRIC_COSINE else None
             residuals = next_residuals(x, layer.centroids[labels], cfg.metric, norms)
@@ -251,14 +257,13 @@ def _walk_layers(
     level l, so each distinct level is clustered once; a single
     configuration, every replay batch, builds no key. Each level builds
     its distinct inputs and releases the parent states before it fits, so
-    a single configuration holds one level input at a time. All
-    configurations have the same number of layers.
+    a single configuration holds one level input at a time.
 
-    Returns, per configuration, the (N, L) codes, the layers and the frame
-    tables of levels 2..L (None on replay and for plain levels).
+    Returns, per configuration, the (N, 3) codes, the layers and the frame
+    tables of levels 2 and 3 (None on replay and for plain levels).
     """
     states = [_Walked((), (), (), data)] * len(cfgs)
-    for level in range(1, len(cfgs[0].layer_sizes) + 1):
+    for level in (1, 2, 3):
         keys = [0] if len(cfgs) == 1 else [cfg.prefix_key(level) for cfg in cfgs]
         inputs = {}  # prefix key -> (parent, input, frame table, config)
         for key, parent, cfg in zip(keys, states, cfgs):
@@ -275,20 +280,6 @@ def _walk_layers(
 def _id_order(ids: Sequence[str]) -> np.ndarray:
     """The int64 row order that sorts the POI ids."""
     return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
-
-
-def _training_columns(
-    pois: Sequence[PoiRecord], embeddings: np.ndarray, cfgs: Sequence[TrainConfig]
-) -> tuple[Sequence[str], np.ndarray, np.ndarray, np.ndarray]:
-    """``_columns`` after the checks ``run`` makes on its configuration and
-    input: three layers, an even embedding dimension."""
-    for cfg in cfgs:
-        if len(cfg.layer_sizes) != 3:
-            raise ValueError(f"the 3-layer SID pipeline needs exactly 3 layer sizes, got {cfg.layer_sizes}")
-    ids, data, lat, lon = _columns(pois, embeddings)
-    if data.shape[1] % 2 != 0:
-        raise ValueError(f"embedding dimension must be even, got {data.shape[1]}")
-    return ids, data, lat, lon
 
 
 def _report(
@@ -316,7 +307,7 @@ def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> 
     ascending id order, to the shared ``Sid`` of its triple; the report is
     computed in the same id order."""
     t0 = time.perf_counter()
-    ids, data, lat, lon = _training_columns(pois, embeddings, [cfg])
+    ids, data, lat, lon = _columns(pois, embeddings)
     [(codes, layers, (geo_second, geo_third))] = _walk_layers(data, lat, lon, [cfg])
     by_id = _id_order(ids)
     with _stage("sid assembly"):
@@ -387,7 +378,7 @@ def _reports(
     """``run(pois, embeddings, cfg).report`` for each configuration, from
     one layer walk over all of them, in one thread."""
     resolve_worker_count(1)
-    ids, data, lat, lon = _training_columns(pois, embeddings, cfgs)
+    ids, data, lat, lon = _columns(pois, embeddings)
     by_id = _id_order(ids)
     return [
         _report(codes, lat, lon, by_id, cfg)

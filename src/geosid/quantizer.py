@@ -18,6 +18,7 @@ index, and centroid updates accumulate members in ascending row order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,23 @@ ROPE_LAYER_THIRD = "third"
 ROPE_LAYER_BOTH = "both"
 ROPE_LAYERS = (ROPE_LAYER_SECOND, ROPE_LAYER_THIRD, ROPE_LAYER_BOTH)
 _GEO_LEVELS = {ROPE_LAYER_SECOND: (2,), ROPE_LAYER_THIRD: (3,), ROPE_LAYER_BOTH: (2, 3)}
+
+
+def _is_int(value, low: int) -> bool:
+    """Whether ``value`` is an integer (numpy's included, bools not) >= ``low``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
+def _real(name: str, value) -> int | float:
+    """Config field ``name`` as a Python int or float: a real number
+    (numpy's included, bools not) that a float can hold."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number within float range, got {value}") from None
+    return int(value) if isinstance(value, numbers.Integral) else number
 
 
 class DegenerateCentroidError(ValueError):
@@ -125,9 +143,14 @@ class TrainConfig:
     baseline); ``rope_layer`` says which clustering layer(s) consume the
     enhanced vectors. ``d_scale_km`` of None means each cluster normalizes
     distances against its own maximum member distance.
+
+    Construction checks every field once: ``layer_sizes`` is three integers
+    >= 1, ``max_iters`` an integer >= 1, ``seed`` one >= 0, and the other
+    numbers fit a float. numpy numbers are stored as Python numbers, bools
+    are rejected, and each ValueError starts with the field's name.
     """
 
-    layer_sizes: tuple[int, ...] = (512, 512, 512)
+    layer_sizes: tuple[int, int, int] = (512, 512, 512)
     max_iters: int = 100
     tol: float = 1e-4
     seed: int = 0
@@ -139,27 +162,34 @@ class TrainConfig:
     d_scale_km: float | None = None
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(k) for k in self.layer_sizes)
-        if len(sizes) < 2 or any(k < 1 for k in sizes):
-            raise ValueError(f"layer_sizes needs >= 2 positive entries, got {sizes}")
-        object.__setattr__(self, "layer_sizes", sizes)
+        sizes = self.layer_sizes
+        if not (isinstance(sizes, (tuple, list)) and len(sizes) == 3 and all(_is_int(k, 1) for k in sizes)):
+            raise ValueError(f"layer_sizes must be 3 layer sizes, each an integer >= 1, got {sizes!r}")
+        object.__setattr__(self, "layer_sizes", tuple(map(int, sizes)))
+        for name, low in (("max_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_int(value, low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("tol", "alpha", "beta", "d_scale_km"):
+            value = getattr(self, name)
+            if name != "d_scale_km" or value is not None:
+                object.__setattr__(self, name, _real(name, value))
         object.__setattr__(self, "geo_attributes", frozenset(self.geo_attributes))
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.rope_layer not in ROPE_LAYERS:
-            raise ValueError(f"unknown rope_layer {self.rope_layer!r}; expected one of {ROPE_LAYERS}")
+            raise ValueError(f"rope_layer must be one of {ROPE_LAYERS}, got {self.rope_layer!r}")
         unknown = self.geo_attributes - set(ALL_ATTRIBUTES)
         if unknown:
-            raise ValueError(f"unknown geo attributes: {sorted(unknown)}")
+            raise ValueError(f"geo_attributes must be a subset of {ALL_ATTRIBUTES}, got {sorted(unknown)}")
         if self.variant == VARIANT_PRO_GEO and not self.geo_attributes:
-            raise ValueError("pro_geo needs at least one geo attribute")
+            raise ValueError("geo_attributes must not be empty for pro_geo")
         # written so that NaN, which fails every comparison, fails each check
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if not self.tol >= 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.d_scale_km is not None and not (math.isfinite(self.d_scale_km) and self.d_scale_km > 0):

@@ -2,9 +2,11 @@ import hashlib
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from geosid.cli import main
+from geosid.data_io import load_corpus, save_corpus
 
 
 @pytest.fixture()
@@ -152,6 +154,35 @@ class TestDeterminism:
             save_codebook(artifact, resaved)
             assert resaved.read_bytes() == artifact_path.read_bytes()
             assert load_codebook(resaved) == artifact
+
+    @pytest.mark.parametrize("variant", ["pro_geo", "rq_kmeans_euclidean"])
+    def test_report_equals_train_on_shuffled_corpus(self, corpus_dir, tmp_path, capsys, variant):
+        # file order is not id order, so report must align the corpus rows
+        # to the codebook's id-sorted index
+        pois, embeddings = load_corpus(corpus_dir / "poi.jsonl", corpus_dir / "embeddings.bin")
+        order = np.random.default_rng(3).permutation(len(pois)).tolist()
+        shuffled = tmp_path / "shuffled"
+        shuffled.mkdir()
+        save_corpus(
+            [pois[i] for i in order], embeddings[order], shuffled / "poi.jsonl", shuffled / "embeddings.bin"
+        )
+        assert [pois.ids[i] for i in order] != sorted(pois.ids)
+        location = {poi.id: [poi.location.lon, poi.location.lat] for poi in pois}
+        for rope in ("third", "second", "both"):
+            for fmt in ("table", "records"):
+                artifact = tmp_path / f"cb-{rope}.bin"
+                extra = ("--variant", variant, "--rope-layer", rope, "--format", fmt)
+                assert _train(shuffled, artifact, extra=extra) == 0
+                trained = capsys.readouterr().out
+                report = ["report", "--codebook", str(artifact), "--corpus", str(shuffled), "--format", fmt]
+                assert main(report) == 0
+                assert capsys.readouterr().out == trained
+            geojson = tmp_path / f"{rope}.geojson"
+            export = ["export-geojson", "--codebook", str(artifact), "--corpus", str(shuffled), "--out", str(geojson)]
+            assert main(export) == 0
+            features = json.loads(geojson.read_text())["features"]
+            assert [f["properties"]["id"] for f in features] == sorted(pois.ids)
+            assert all(f["geometry"]["coordinates"] == location[f["properties"]["id"]] for f in features)
 
 
 class TestExitCodes:

@@ -114,6 +114,14 @@ class TestCorpusRoundTrip:
         with pytest.raises(CorpusFormatError, match="duplicate"):
             load_corpus(poi_path, emb_path)
 
+    def test_save_rejects_duplicate_ids(self, tmp_path):
+        # a file load_corpus would reject is never written
+        poi_path, emb_path = _paths(tmp_path)
+        records = [PoiRecord(pid, GeoPoint(0, 0), i) for i, pid in enumerate("aab")]
+        with pytest.raises(ValueError, match="^duplicate POI id 'a'$"):
+            save_corpus(records, np.ones((3, 2)), poi_path, emb_path)
+        assert not poi_path.exists() and not emb_path.exists()
+
     def test_nan_embedding_names_record(self, tmp_path):
         poi_path, emb_path = _paths(tmp_path)
         matrix = np.ones((2, 2), dtype=np.float32)
@@ -431,6 +439,11 @@ class TestCodebookArtifact:
             (lambda h: h["geo_third"][1].__setitem__(0, 2**64), r"geo_third row 1 .*integer cell codes"),
             (lambda h: h["geo_third"][1].__setitem__(0, -1), r"geo_third row 1 cell \(-1, 0\): negative"),
             (lambda h: h["config"].update(d_scale_km=True), r"malformed header \(config d_scale_km must be a number"),
+            (lambda h: h["config"].update(max_iters=True), r"malformed header \(config max_iters must be an integer"),
+            (lambda h: h["config"].update(seed=1.5), r"malformed header \(config seed must be an integer"),
+            (lambda h: h["config"].update(layer_sizes=[2.5, 2, 2]), r"malformed header \(config layer_sizes must be 3 layer sizes"),
+            (lambda h: h["config"].update(tol=10**400), r"malformed header \(config tol must be a number within float range"),
+            (lambda h: h["layers"][1].update(metric="euclidean"), r"inconsistent artifact \(layer 2 metric euclidean, config says cosine\)"),
         ],
     )
     def test_malformed_header_entry_named(self, tmp_path, edit, match):

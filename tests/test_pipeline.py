@@ -257,6 +257,17 @@ class TestAssignWithCodebook:
         with pytest.raises(ValueError, match=re.escape(f"non-finite embedding for POI {pois[5].id!r}")):
             assign_with_codebook(res.artifact, pois, embeddings)
 
+    def test_repeated_id_rejected(self, small_corpus):
+        pois, embeddings = small_corpus
+        res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=11))
+        records = [PoiRecord("a", pois[0].location, 0), PoiRecord("a", pois[1].location, 1), pois[2]]
+        corpus = Corpus(["a", "a", pois[2].id], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+        for batch in (records, corpus):
+            with pytest.raises(ValueError, match="^duplicate POI id 'a'$"):
+                assign_with_codebook(res.artifact, batch, embeddings[:3])
+            with pytest.raises(ValueError, match="^duplicate POI id 'a'$"):
+                run(batch, embeddings[:3], TrainConfig(layer_sizes=(1, 1, 1)))
+
     def test_neutral_frame_for_unseen_cells(self, small_corpus, monkeypatch):
         pois, embeddings = small_corpus
         res = run(pois, embeddings, TrainConfig(layer_sizes=(2, 2, 2), seed=11))
@@ -490,18 +501,18 @@ class TestCompare:
     def test_keeps_run_input_checks(self, small_corpus, bad):
         pois, embeddings = small_corpus
         good = TrainConfig(layer_sizes=(2, 2, 2), seed=1)
-        cfg = good
+        kwargs = {"layer_sizes": (2, 2, 2), "seed": 1}
         if bad == "two_layers":
-            cfg = TrainConfig(layer_sizes=(2, 2), seed=1)
+            kwargs["layer_sizes"] = (2, 2)  # rejected by TrainConfig itself
         elif bad == "odd_dimension":
             embeddings = embeddings[:, :7]
         else:
             embeddings = embeddings.copy()
             embeddings[11, 3] = np.nan
         with pytest.raises(ValueError) as from_run:
-            run(pois, embeddings, cfg)
+            run(pois, embeddings, TrainConfig(**kwargs))
         with pytest.raises(ValueError, match=re.escape(str(from_run.value))) as from_compare:
-            compare(pois, embeddings, [good, cfg])
+            compare(pois, embeddings, [good, TrainConfig(**kwargs)])
         assert type(from_compare.value) is type(from_run.value)
 
     def test_resolves_worker_count_once(self, small_corpus, monkeypatch):

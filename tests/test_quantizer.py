@@ -132,6 +132,41 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{field} must be .*, got {value}$"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            *[(name, True) for name in ("max_iters", "seed", "tol", "alpha", "beta", "d_scale_km")],
+            ("layer_sizes", (2, True, 2)),
+            ("layer_sizes", (2.5, 2, 2)),
+            ("layer_sizes", (2.0, 2, 2)),
+            ("layer_sizes", (2, 2)),
+            ("layer_sizes", (2, 2, 2, 2)),
+            ("layer_sizes", "222"),
+            ("max_iters", 2.5),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("seed", np.bool_(True)),
+            ("tol", "0.1"),
+            *[pytest.param(name, 10**400, id=f"{name}-10**400") for name in ("tol", "alpha", "beta")],
+            pytest.param("d_scale_km", 10**400, id="d_scale_km-10**400"),
+        ],
+    )
+    def test_bad_value_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            TrainConfig(**{field: value})
+
+    def test_numpy_numbers_taken_as_python_numbers(self):
+        cfg = TrainConfig(
+            layer_sizes=(np.int64(2), np.int32(3), np.uint8(4)), max_iters=np.int16(5),
+            seed=np.uint64(6), tol=np.float32(0.5), alpha=np.float64(0.25), beta=np.int64(1),
+            d_scale_km=np.float16(2.0),
+        )
+        assert cfg == TrainConfig(
+            layer_sizes=(2, 3, 4), max_iters=5, seed=6, tol=0.5, alpha=0.25, beta=1, d_scale_km=2.0
+        )
+        values = (*cfg.layer_sizes, cfg.max_iters, cfg.seed, cfg.tol, cfg.alpha, cfg.beta, cfg.d_scale_km)
+        assert [type(v) for v in values] == [int] * 5 + [float, float, int, float]
+
 
 class TestAssignCosine:
     """``assign`` on a cosine layer."""
