@@ -17,10 +17,13 @@ On-disk layout:
 Storage is 32-bit; computation stays double precision. Artifact centroids
 are snapped to float32 at construction so save/load round-trips bit-exact.
 
-``load_corpus`` builds columns, not per-POI objects: it checks each
+``load_corpus`` and ``generate_synthetic`` build columns, not per-POI
+objects: each returns a :class:`Corpus`, which the pipeline reads directly
+and which still reads as a read-only sequence of :class:`PoiRecord`
+(``list(corpus)`` gives a mutable list). ``load_corpus`` checks each
 metadata line in file order as it collects ids, coordinates and
-categories, and returns them as a :class:`Corpus`, which the pipeline
-reads directly and which still reads as a sequence of :class:`PoiRecord`.
+categories. ``save_corpus`` takes a :class:`Corpus` or any sequence of
+records and writes the metadata from columns.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Mapping
 import numpy as np
 
 from .geo import EARTH_RADIUS_KM, GeoPoint, local_polar
-from .quantizer import CodebookLayer, TrainConfig, enhanced_dim
+from .quantizer import CodebookLayer, TrainConfig, _is_int, _real, enhanced_dim
 from .sid import Sid, SidIndex
 
 __all__ = [
@@ -139,6 +142,34 @@ class Corpus(Sequence[PoiRecord]):
         locations = map(GeoPoint, self.lat.tolist(), self.lon.tolist())
         return map(PoiRecord, self.ids, locations, range(len(self.ids)), self.category)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and self.category == other.category
+            and np.array_equal(self.lat, other.lat)
+            and np.array_equal(self.lon, other.lon)
+        )
+
+
+def _poi_columns(
+    pois: Sequence[PoiRecord],
+) -> tuple[Sequence[str], np.ndarray, np.ndarray, Sequence[str | None]]:
+    """The ids, float64 latitude and longitude (degrees) and categories of
+    ``pois``. A :class:`Corpus` hands over its own columns; any other
+    sequence of records is read in one pass, each record's location once."""
+    if isinstance(pois, Corpus):
+        return pois.ids, pois.lat, pois.lon, pois.category
+    ids, lat, lon, category = [], [], [], []
+    for poi in pois:
+        location = poi.location
+        ids.append(poi.id)
+        lat.append(location.lat)
+        lon.append(location.lon)
+        category.append(poi.category)
+    return ids, np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64), category
+
 
 class FrameTable:
     """One level's geo frames as read-only columns, one row per cell in
@@ -229,26 +260,34 @@ def _check_unique_ids(ids: Sequence[str]) -> None:
 # corpus
 
 
+def _jsonl_lines(ids, lat, lon, category):
+    """One metadata line per POI, as ``json.dumps(rec, separators=(",", ":"))``
+    writes ``{"id", "lat", "lon"[, "category"]}``: strings through the same
+    ASCII escaper, floats through ``float.__repr__``."""
+    quote = json.encoder.encode_basestring_ascii
+    for poi_id, y, x, cat in zip(ids, lat, lon, category):
+        tail = "}\n" if cat is None else f',"category":{quote(cat)}}}\n'
+        yield f'{{"id":{quote(poi_id)},"lat":{y!r},"lon":{x!r}{tail}'
+
+
 def save_corpus(
-    pois: list[PoiRecord],
+    pois: Sequence[PoiRecord],
     embeddings: np.ndarray,
     poi_path: str | Path,
     embedding_path: str | Path,
 ) -> None:
     """Write the JSONL metadata file and the binary embedding matrix.
+    ``pois`` is a :class:`Corpus` or any sequence of :class:`PoiRecord`.
     Rejects a repeated POI id, which ``load_corpus`` would reject."""
     matrix = np.ascontiguousarray(embeddings, dtype=np.float32)
     if matrix.ndim != 2 or matrix.shape[0] != len(pois):
         raise ValueError(
             f"embedding matrix shape {matrix.shape} does not match {len(pois)} POI records"
         )
-    _check_unique_ids([poi.id for poi in pois])
+    ids, lat, lon, category = _poi_columns(pois)
+    _check_unique_ids(ids)
     with open(poi_path, "w", encoding="utf-8") as fh:
-        for poi in pois:
-            rec = {"id": poi.id, "lat": poi.location.lat, "lon": poi.location.lon}
-            if poi.category is not None:
-                rec["category"] = poi.category
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        fh.writelines(_jsonl_lines(ids, lat.tolist(), lon.tolist(), category))
     header = _EMBED_MAGIC + struct.pack("<III", _FORMAT_VERSION, *matrix.shape)
     payload = matrix.tobytes(order="C")
     with open(embedding_path, "wb") as fh:
@@ -598,6 +637,13 @@ class SynthConfig:
     deliberately unequal (the first blob is heaviest) so that both the
     azimuth and the radial distance of the local polar frame carry signal.
     The geographic draw is independent of the embedding draw.
+
+    Construction checks every field: the three counts are integers >= 1,
+    ``embedding_dim`` an even integer >= 4 and >= ``n_semantic_clusters``
+    + 2, ``seed`` an integer >= 0, and the separation, the spread and
+    ``noise_std`` finite real numbers >= 0. numpy numbers are stored as
+    Python numbers, bools are rejected, and each ValueError starts with the
+    field's name.
     """
 
     n_semantic_clusters: int = 4
@@ -610,19 +656,27 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.n_semantic_clusters, self.pois_per_cluster, self.geo_subclusters_per_semantic) < 1:
-            raise ValueError("all counts must be >= 1")
-        if self.embedding_dim < 4 or self.embedding_dim % 2 != 0:
+        for name, low in (
+            ("n_semantic_clusters", 1), ("pois_per_cluster", 1), ("geo_subclusters_per_semantic", 1),
+            ("embedding_dim", 4), ("seed", 0),
+        ):
+            value = getattr(self, name)
+            if not _is_int(value, low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.embedding_dim % 2 != 0:
             raise ValueError(f"embedding_dim must be even and >= 4, got {self.embedding_dim}")
         if self.embedding_dim < self.n_semantic_clusters + 2:
             raise ValueError(
                 f"embedding_dim must be >= n_semantic_clusters + 2 to fit the cluster "
                 f"directions, got {self.embedding_dim} < {self.n_semantic_clusters + 2}"
             )
-        if self.subcluster_separation_km < 0 or self.subcluster_spread_km < 0:
-            raise ValueError("separation and spread must be >= 0")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        # written so that NaN, which fails every comparison, fails the check
+        for name in ("subcluster_separation_km", "subcluster_spread_km", "noise_std"):
+            value = _real(name, getattr(self, name))
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            object.__setattr__(self, name, value)
 
 
 def _orthonormal_rows(
@@ -646,10 +700,13 @@ def _orthonormal_rows(
     return rows
 
 
-def _offset_point(lat: float, lon: float, north_km: float, east_km: float) -> GeoPoint:
+def _offset_point(lat: float, lon: float, north_km: float, east_km: float) -> tuple[float, float]:
+    """(lat, lon) in degrees of the point ``north_km`` north and ``east_km``
+    east of (lat, lon) on the local tangent plane; the longitude is not
+    wrapped."""
     dlat = math.degrees(north_km / EARTH_RADIUS_KM)
     dlon = math.degrees(east_km / (EARTH_RADIUS_KM * math.cos(math.radians(lat))))
-    return GeoPoint(lat + dlat, lon + dlon)
+    return lat + dlat, lon + dlon
 
 
 # Shared secondary-offset ring: four direction pairs on a corpus-wide plane,
@@ -658,7 +715,7 @@ _RING_RADIUS = 0.45
 _RING_ANGLES_DEG = tuple(90 * p + 15 * t for p in range(4) for t in (-1, 1))
 
 
-def generate_synthetic(cfg: SynthConfig) -> tuple[list[PoiRecord], np.ndarray]:
+def generate_synthetic(cfg: SynthConfig) -> tuple[Corpus, np.ndarray]:
     """Deterministic corpus with decoupled semantic and geographic structure.
 
     An embedding is x = u_c + ring[m] + noise: the cluster's unit direction
@@ -667,45 +724,60 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[PoiRecord], np.ndarray]:
     drawn per POI from that cluster's sub-blob discs with unequal blob
     weights. PRNG: numpy PCG64; identical seeds reproduce the corpus
     bit-exactly.
+
+    Returns the POIs as a :class:`Corpus` (ids ``p000000``, ... in row
+    order, categories ``cluster00``, ...) and the float64 matrix. Each POI
+    draws its ring offset, its noise row straight into the matrix and one
+    pair of uniforms for its disc position; each cluster's rows are then
+    finished in place, with the operation order of the formula above.
     """
     rng = np.random.default_rng(cfg.seed)
     total = cfg.n_semantic_clusters * cfg.pois_per_cluster
     matrix = np.empty((total, cfg.embedding_dim), dtype=np.float64)
-    pois: list[PoiRecord] = []
+    ring_of = np.empty(cfg.pois_per_cluster, dtype=np.int64)
+    lat: list[float] = []
+    lon: list[float] = []
+    category: list[str] = []
 
     cluster_dirs = _orthonormal_rows(rng, cfg.n_semantic_clusters, cfg.embedding_dim)
     g1, g2 = _orthonormal_rows(rng, 2, cfg.embedding_dim, against=cluster_dirs)
     phase = rng.uniform(0.0, 2.0 * math.pi)
-    ring = [
+    ring = np.array([
         _RING_RADIUS * (math.cos(phase + math.radians(a)) * g1 + math.sin(phase + math.radians(a)) * g2)
         for a in _RING_ANGLES_DEG
-    ]
+    ])
 
     n_sub = cfg.geo_subclusters_per_semantic
-    idx = 0
+    spread, separation, two_pi = cfg.subcluster_spread_km, cfg.subcluster_separation_km, 2.0 * math.pi
     for c in range(cfg.n_semantic_clusters):
         anchor_lat = float(rng.uniform(22.0, 45.0))
         anchor_lon = float(rng.uniform(100.0, 120.0))
         sub_centers = [
-            _offset_point(anchor_lat, anchor_lon, 0.0, (s - (n_sub - 1) / 2.0) * cfg.subcluster_separation_km)
+            GeoPoint(*_offset_point(anchor_lat, anchor_lon, 0.0, (s - (n_sub - 1) / 2.0) * separation))
             for s in range(n_sub)
         ]
+        # first blob double-weighted: POI i sits in blob max(0, i mod (n_sub+1) - 1)
+        centers = [sub_centers[max(0, j - 1)] for j in range(n_sub + 1)]
+        rows = matrix[c * cfg.pois_per_cluster : (c + 1) * cfg.pois_per_cluster]
+        category += [f"cluster{c:02d}"] * cfg.pois_per_cluster
         for i in range(cfg.pois_per_cluster):
-            m = int(rng.integers(len(ring)))
-            matrix[idx] = (
-                cluster_dirs[c] + ring[m] + cfg.noise_std * rng.standard_normal(cfg.embedding_dim)
-            )
-            # first blob double-weighted: i mod (n_sub+1) of {0, 0, 1, .., n_sub-1}
-            blob = max(0, (i % (n_sub + 1)) - 1)
-            center = sub_centers[blob]
-            radius = cfg.subcluster_spread_km * math.sqrt(rng.uniform())
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-            location = _offset_point(
-                center.lat, center.lon, radius * math.cos(angle), radius * math.sin(angle)
-            )
-            pois.append(PoiRecord(f"p{idx:06d}", location, idx, f"cluster{c:02d}"))
-            idx += 1
-    return pois, matrix
+            ring_of[i] = rng.integers(len(ring))
+            rng.standard_normal(out=rows[i])
+            # uniform() and uniform(0, 2 pi) are low + (high - low) * u with low 0
+            u, v = rng.random(2).tolist()
+            radius = spread * math.sqrt(u)
+            angle = two_pi * v
+            center = centers[i % (n_sub + 1)]
+            y, x = _offset_point(center.lat, center.lon, radius * math.cos(angle), radius * math.sin(angle))
+            lat.append(y)
+            lon.append(x)
+        base = ring[ring_of]
+        base += cluster_dirs[c]
+        rows *= cfg.noise_std
+        rows += base
+
+    ids = ["p%06d" % row for row in range(total)]
+    return Corpus(ids, lat, lon, category), matrix
 
 
 # ---------------------------------------------------------------------------

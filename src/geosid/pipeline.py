@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import quantizer
-from .data_io import CodebookArtifact, Corpus, FrameTable, PoiRecord, _check_unique_ids
+from .data_io import CodebookArtifact, FrameTable, PoiRecord, _check_unique_ids, _poi_columns
 from .geo import group_centroids, local_polar
 from .metrics import QuantReport, quant_report
 from .quantizer import (
@@ -121,11 +121,10 @@ def _columns(
     pois: Sequence[PoiRecord], embeddings: np.ndarray
 ) -> tuple[Sequence[str], np.ndarray, np.ndarray, np.ndarray]:
     """The input boundary: the POI ids, the float64 embedding matrix and
-    the latitude and longitude columns (degrees). A :class:`Corpus` hands
-    over its own columns; any other sequence of records is read in one
-    pass, each record's location once. Rejects a repeated POI id, a matrix
-    that does not have one row per POI, an odd embedding dimension, or a
-    non-finite row, naming its POI."""
+    the latitude and longitude columns (degrees), read as ``save_corpus``
+    reads them. Rejects a repeated POI id, a matrix that does not have one
+    row per POI, an odd embedding dimension, or a non-finite row, naming
+    its POI."""
     data = np.ascontiguousarray(embeddings, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] != len(pois):
         raise ValueError(f"embedding matrix shape {data.shape} does not match {len(pois)} POIs")
@@ -134,16 +133,7 @@ def _columns(
     if not np.isfinite(data).all():
         row = int(np.argmin(np.isfinite(data).all(axis=1)))
         raise ValueError(f"non-finite embedding for POI {pois[row].id!r}")
-    if isinstance(pois, Corpus):
-        ids, lat, lon = pois.ids, pois.lat, pois.lon
-    else:
-        ids, lat, lon = [], [], []
-        for poi in pois:
-            location = poi.location
-            ids.append(poi.id)
-            lat.append(location.lat)
-            lon.append(location.lon)
-        lat, lon = np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64)
+    ids, lat, lon, _ = _poi_columns(pois)
     _check_unique_ids(ids)
     return ids, data, lat, lon
 

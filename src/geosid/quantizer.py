@@ -175,7 +175,14 @@ class TrainConfig:
             value = getattr(self, name)
             if name != "d_scale_km" or value is not None:
                 object.__setattr__(self, name, _real(name, value))
-        object.__setattr__(self, "geo_attributes", frozenset(self.geo_attributes))
+        attributes = self.geo_attributes
+        try:
+            names = None if isinstance(attributes, (str, bytes)) else frozenset(attributes)
+        except TypeError:  # not iterable, or an unhashable member
+            names = None
+        if names is None or not all(isinstance(name, str) for name in names):
+            raise ValueError(f"geo_attributes must be a collection of attribute names, got {attributes!r}")
+        object.__setattr__(self, "geo_attributes", names)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.rope_layer not in ROPE_LAYERS:

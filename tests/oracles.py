@@ -218,3 +218,65 @@ def cluster_frames_oracle(keys: np.ndarray, lat: np.ndarray, lon: np.ndarray, d_
         )
     }
     return frames, d_km, sigma, cluster_scale[groups]
+
+
+def generate_synthetic_oracle(cfg):
+    """The synthetic corpus one POI at a time: per POI a ring draw, a noise
+    row, a radius and an angle, a ``GeoPoint`` offset from its blob centre, a
+    ``PoiRecord``, and its embedding row as one expression. Returns the
+    list of records and the float64 matrix."""
+    import math
+
+    from geosid.data_io import _RING_ANGLES_DEG, _RING_RADIUS, PoiRecord, _orthonormal_rows
+    from geosid.geo import EARTH_RADIUS_KM, GeoPoint
+
+    def offset_point(lat, lon, north_km, east_km):
+        dlat = math.degrees(north_km / EARTH_RADIUS_KM)
+        dlon = math.degrees(east_km / (EARTH_RADIUS_KM * math.cos(math.radians(lat))))
+        return GeoPoint(lat + dlat, lon + dlon)
+
+    rng = np.random.default_rng(cfg.seed)
+    total = cfg.n_semantic_clusters * cfg.pois_per_cluster
+    matrix = np.empty((total, cfg.embedding_dim), dtype=np.float64)
+    pois = []
+
+    cluster_dirs = _orthonormal_rows(rng, cfg.n_semantic_clusters, cfg.embedding_dim)
+    g1, g2 = _orthonormal_rows(rng, 2, cfg.embedding_dim, against=cluster_dirs)
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    ring = [
+        _RING_RADIUS * (math.cos(phase + math.radians(a)) * g1 + math.sin(phase + math.radians(a)) * g2)
+        for a in _RING_ANGLES_DEG
+    ]
+
+    n_sub = cfg.geo_subclusters_per_semantic
+    idx = 0
+    for c in range(cfg.n_semantic_clusters):
+        anchor_lat = float(rng.uniform(22.0, 45.0))
+        anchor_lon = float(rng.uniform(100.0, 120.0))
+        sub_centers = [
+            offset_point(anchor_lat, anchor_lon, 0.0, (s - (n_sub - 1) / 2.0) * cfg.subcluster_separation_km)
+            for s in range(n_sub)
+        ]
+        for i in range(cfg.pois_per_cluster):
+            m = int(rng.integers(len(ring)))
+            matrix[idx] = cluster_dirs[c] + ring[m] + cfg.noise_std * rng.standard_normal(cfg.embedding_dim)
+            blob = max(0, (i % (n_sub + 1)) - 1)
+            center = sub_centers[blob]
+            radius = cfg.subcluster_spread_km * math.sqrt(rng.uniform())
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            location = offset_point(center.lat, center.lon, radius * math.cos(angle), radius * math.sin(angle))
+            pois.append(PoiRecord(f"p{idx:06d}", location, idx, f"cluster{c:02d}"))
+            idx += 1
+    return pois, matrix
+
+
+def save_corpus_metadata_oracle(pois, path) -> None:
+    """The JSONL metadata file written one ``json.dumps`` per record."""
+    import json
+
+    with open(path, "w", encoding="utf-8") as fh:
+        for poi in pois:
+            rec = {"id": poi.id, "lat": poi.location.lat, "lon": poi.location.lon}
+            if poi.category is not None:
+                rec["category"] = poi.category
+            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")

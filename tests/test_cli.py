@@ -78,6 +78,16 @@ class TestSmokePath:
     def test_synth_rejects_odd_dim(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "c"), "--dim", "7"]) == 1
 
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--noise-std", "noise_std"), ("--spread-km", "subcluster_spread_km"), ("--separation-km", "subcluster_separation_km")],
+    )
+    def test_synth_non_finite_exits_one_writing_nothing(self, tmp_path, capsys, flag, field):
+        capsys.readouterr()
+        assert main(["synth", "--out", str(tmp_path / "c"), flag, "nan"]) == 1
+        assert capsys.readouterr().err == f"error: {field} must be finite and >= 0, got nan\n"
+        assert not (tmp_path / "c").exists()
+
     def test_export_geojson(self, corpus_dir, tmp_path):
         artifact = tmp_path / "cb.bin"
         _train(corpus_dir, artifact)

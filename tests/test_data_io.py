@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import generate_synthetic_oracle, save_corpus_metadata_oracle
 
 from geosid.data_io import (
     CodebookArtifact,
@@ -200,6 +203,57 @@ class TestCorpusColumns:
     def test_constructor_rejects(self, lat, lon, match):
         with pytest.raises(ValueError, match=match):
             Corpus(["a", "b"], lat, lon)
+
+    def test_equality_compares_columns(self):
+        corpus = Corpus(["a", "b"], [1.0, 2.0], [3.0, 540.0], ["x", None])
+        assert corpus == Corpus(["a", "b"], [1.0, 2.0], [3.0, 180.0], ["x", None])
+        assert corpus != Corpus(["a", "c"], [1.0, 2.0], [3.0, 180.0], ["x", None])
+        assert corpus != Corpus(["a", "b"], [1.0, 2.5], [3.0, 180.0], ["x", None])
+        assert corpus != Corpus(["a", "b"], [1.0, 2.0], [3.5, 180.0], ["x", None])
+        assert corpus != Corpus(["a", "b"], [1.0, 2.0], [3.0, 180.0], ["x", "y"])
+        assert corpus != list(corpus)
+
+
+_awkward_text = st.text(
+    st.one_of(st.sampled_from(list('"\\/\x00\x1f\x7f\n\t\u00e9\u4e2d\u2028\U0001f600')), st.characters()),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestSaveCorpusFormat:
+    """The metadata file is the bytes of one ``json.dumps`` per record."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                _awkward_text,
+                st.one_of(
+                    st.sampled_from([90.0, -90.0, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+                    st.floats(-90.0, 90.0),
+                ),
+                st.one_of(
+                    st.sampled_from([180.0, -180.0, -0.0, 5e-324, -1e-310, 179.99999999999997, 1e16]),
+                    st.floats(-1e6, 1e6),
+                ),
+                st.one_of(st.none(), _awkward_text),
+            ),
+            max_size=8,
+            unique_by=lambda row: row[0],
+        )
+    )
+    def test_bytes_match_per_record_json(self, tmp_path_factory, rows):
+        tmp_path = tmp_path_factory.mktemp("corpus")
+        records = [PoiRecord(pid, GeoPoint(lat, lon), i, cat) for i, (pid, lat, lon, cat) in enumerate(rows)]
+        corpus = Corpus([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows], [r[3] for r in rows])
+        matrix = np.arange(2.0 * len(rows)).reshape(len(rows), 2)
+        save_corpus_metadata_oracle(records, tmp_path / "oracle.jsonl")
+        expected = (tmp_path / "oracle.jsonl").read_bytes()
+        for name, pois in (("list", records), ("corpus", corpus)):
+            save_corpus(pois, matrix, tmp_path / f"{name}.jsonl", tmp_path / f"{name}.bin")
+            assert (tmp_path / f"{name}.jsonl").read_bytes() == expected
+        assert (tmp_path / "corpus.bin").read_bytes() == (tmp_path / "list.bin").read_bytes()
 
 
 class TestCorpusRejections:
@@ -444,6 +498,10 @@ class TestCodebookArtifact:
             (lambda h: h["config"].update(layer_sizes=[2.5, 2, 2]), r"malformed header \(config layer_sizes must be 3 layer sizes"),
             (lambda h: h["config"].update(tol=10**400), r"malformed header \(config tol must be a number within float range"),
             (lambda h: h["layers"][1].update(metric="euclidean"), r"inconsistent artifact \(layer 2 metric euclidean, config says cosine\)"),
+            (lambda h: h["config"].update(geo_attributes=5), r"malformed header \(config geo_attributes must be a collection of attribute names"),
+            (lambda h: h["config"].update(geo_attributes=[[1]]), r"malformed header \(config geo_attributes must be a collection of attribute names"),
+            (lambda h: h["config"].update(geo_attributes=[1, "x"]), r"malformed header \(config geo_attributes must be a collection of attribute names"),
+            (lambda h: h["config"].update(geo_attributes="sigma+"), r"malformed header \(config geo_attributes must be a collection of attribute names"),
         ],
     )
     def test_malformed_header_entry_named(self, tmp_path, edit, match):
@@ -562,6 +620,39 @@ class TestSynthConfig:
         with pytest.raises(ValueError):
             SynthConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_semantic_clusters", True),
+            ("pois_per_cluster", 2.5),
+            ("geo_subclusters_per_semantic", 0),
+            ("embedding_dim", 8.0),
+            ("seed", -1),
+            ("seed", np.bool_(True)),
+            ("noise_std", math.nan),
+            ("noise_std", math.inf),
+            ("noise_std", "0.1"),
+            ("subcluster_spread_km", math.nan),
+            pytest.param("subcluster_spread_km", 10**400, id="subcluster_spread_km-10**400"),
+            ("subcluster_separation_km", -math.inf),
+            ("subcluster_separation_km", True),
+        ],
+    )
+    def test_rejection_names_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            SynthConfig(**{field: value})
+
+    def test_numpy_numbers_taken_as_python_numbers(self):
+        cfg = SynthConfig(
+            n_semantic_clusters=np.int64(2), pois_per_cluster=np.uint16(5), geo_subclusters_per_semantic=np.int8(3),
+            subcluster_separation_km=np.float32(40.0), subcluster_spread_km=np.int32(2), embedding_dim=np.int64(8),
+            noise_std=np.float64(0.25), seed=np.uint64(9),
+        )
+        plain = SynthConfig(2, 5, 3, 40.0, 2, 8, 0.25, 9)
+        assert cfg == plain
+        assert [type(getattr(cfg, f)) for f in ("n_semantic_clusters", "seed", "noise_std")] == [int, int, float]
+        assert generate_synthetic(cfg)[0] == generate_synthetic(plain)[0]
+
 
 class TestGenerateSynthetic:
     def test_shapes_and_ids(self):
@@ -613,6 +704,50 @@ class TestGenerateSynthetic:
         pois_b, m_b = generate_synthetic(cfg)
         assert pois_a == pois_b
         assert np.array_equal(m_a, m_b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        clusters=st.integers(1, 5),
+        per_cluster=st.integers(1, 12),
+        subclusters=st.integers(1, 4),
+        wider=st.integers(0, 2),
+        separation=st.sampled_from([0.0, 40.0, 333.3]),
+        spread=st.sampled_from([0.0, 1.5, 25.0]),
+        noise_std=st.sampled_from([0.0, 0.005, 0.3]),
+        seed=st.integers(0, 2**32),
+    )
+    @example(clusters=3, per_cluster=1, subclusters=4, wider=0, separation=40.0, spread=1.5, noise_std=0.0, seed=0)
+    @example(clusters=1, per_cluster=7, subclusters=1, wider=1, separation=0.0, spread=0.0, noise_std=0.005, seed=7)
+    def test_matches_per_poi_oracle(self, clusters, per_cluster, subclusters, wider, separation, spread, noise_std, seed):
+        cfg = SynthConfig(
+            n_semantic_clusters=clusters, pois_per_cluster=per_cluster, geo_subclusters_per_semantic=subclusters,
+            subcluster_separation_km=separation, subcluster_spread_km=spread,
+            embedding_dim=max(4, clusters + 2 + clusters % 2) + 2 * wider, noise_std=noise_std, seed=seed,
+        )
+        corpus, matrix = generate_synthetic(cfg)
+        records, expected = generate_synthetic_oracle(cfg)
+        assert isinstance(corpus, Corpus)
+        assert corpus.ids == [r.id for r in records]
+        assert corpus.category == [r.category for r in records]
+        assert _bits(corpus.lat) == _bits([r.location.lat for r in records])
+        assert _bits(corpus.lon) == _bits([r.location.lon for r in records])
+        assert matrix.dtype == np.float64
+        assert np.array_equal(matrix.view(np.uint64), expected.view(np.uint64))
+        assert list(corpus) == records
+
+    def test_traced_peak_is_the_matrix_plus_columns(self):
+        # 10,240 POIs x 64: the float64 matrix is 5 MiB; one record object
+        # per POI took the traced peak to 8.9 MiB
+        cfg = SynthConfig(
+            n_semantic_clusters=32, pois_per_cluster=320, geo_subclusters_per_semantic=3, embedding_dim=64, seed=5
+        )
+        tracemalloc.start()
+        try:
+            generate_synthetic(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * 2**20
 
     def test_unequal_blob_weights(self):
         cfg = SynthConfig(

@@ -155,6 +155,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{field} must be "):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [5, [[1]], [1, "x"], "sigma+", None])
+    def test_geo_attributes_not_names_rejected_naming_field(self, value):
+        with pytest.raises(ValueError, match="^geo_attributes must be a collection of attribute names, got "):
+            TrainConfig(geo_attributes=value)
+
     def test_numpy_numbers_taken_as_python_numbers(self):
         cfg = TrainConfig(
             layer_sizes=(np.int64(2), np.int32(3), np.uint8(4)), max_iters=np.int16(5),
