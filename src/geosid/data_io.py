@@ -4,18 +4,20 @@ On-disk layout:
 
 * POI metadata: one JSON object per line with keys ``id``, ``lat``,
   ``lon`` and optional ``category``.
-* Embedding matrix: 16-byte header (magic ``GSEM``, u32 version, u32 N,
-  u32 M, all little-endian), then N*M float32 little-endian values
+* Embedding matrix: 16-byte header (magic ``GSEM``, u32 version 1, u32
+  N, u32 M, all little-endian), then N*M float32 little-endian values
   row-major, then a u64 checksum (first 8 bytes of the SHA-256 of header
   plus payload). The fixed-stride layout keeps the file memory-mappable.
-* Codebook artifact: magic ``GSCB``, u32 version, u64 header length, a
-  UTF-8 JSON header (config snapshot, layer shapes, the columns of each
-  level's :class:`FrameTable` as rows ``[j1, (j2,) lat, lon, d_scale_km]``,
-  SID assignments), the centroid matrices as float32 little-endian blocks
-  in layer order, and the same trailing checksum.
+* Codebook artifact: magic ``GSCB``, u32 version 2, u64 header length, a
+  UTF-8 JSON header (format version, config snapshot, layer shapes and
+  metrics, frame-table row counts, POI ids in :class:`SidIndex` order),
+  the little-endian blocks :func:`_codebook_blocks` lists (centroids,
+  frame-table columns, SID codes) and the same trailing checksum. Version
+  1 files, with frames and SIDs as JSON rows, are rejected.
 
-Storage is 32-bit; computation stays double precision. Artifact centroids
-are snapped to float32 at construction so save/load round-trips bit-exact.
+Embeddings and centroids are stored as float32; computation stays double
+precision. Artifact centroids are snapped to float32 at construction so
+save/load round-trips bit-exact.
 
 ``load_corpus`` and ``generate_synthetic`` build columns, not per-POI
 objects: each returns a :class:`Corpus`, which the pipeline reads directly
@@ -36,13 +38,13 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .geo import EARTH_RADIUS_KM, GeoPoint, local_polar
 from .quantizer import CodebookLayer, TrainConfig, _is_int, _real, enhanced_dim
-from .sid import Sid, SidIndex
+from .sid import Sid, SidIndex, check_codes
 
 __all__ = [
     "CodebookArtifact",
@@ -62,7 +64,8 @@ __all__ = [
 
 _EMBED_MAGIC = b"GSEM"
 _CODEBOOK_MAGIC = b"GSCB"
-_FORMAT_VERSION = 1
+_EMBED_VERSION = 1
+_CODEBOOK_VERSION = 2
 
 
 class CorpusFormatError(ValueError):
@@ -249,6 +252,19 @@ def _digest64(data: bytes | memoryview) -> bytes:
     return hashlib.sha256(data).digest()[:8]
 
 
+def _write_checked(path: str | Path, head: bytes, blocks: Iterable[np.ndarray]) -> None:
+    """Write ``head``, then the buffer of each C-contiguous array in
+    ``blocks``, then the trailing checksum (:func:`_digest64` of all of
+    them), hashing as it writes: no block is copied into one file image."""
+    digest = hashlib.sha256(head)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for block in blocks:
+            digest.update(block)
+            fh.write(block)
+        fh.write(digest.digest()[:8])
+
+
 def _check_unique_ids(ids: Sequence[str]) -> None:
     """Reject a repeated POI id, naming the first id that repeats."""
     if len(set(ids)) != len(ids):
@@ -279,7 +295,7 @@ def save_corpus(
     """Write the JSONL metadata file and the binary embedding matrix.
     ``pois`` is a :class:`Corpus` or any sequence of :class:`PoiRecord`.
     Rejects a repeated POI id, which ``load_corpus`` would reject."""
-    matrix = np.ascontiguousarray(embeddings, dtype=np.float32)
+    matrix = np.ascontiguousarray(embeddings, dtype="<f4")
     if matrix.ndim != 2 or matrix.shape[0] != len(pois):
         raise ValueError(
             f"embedding matrix shape {matrix.shape} does not match {len(pois)} POI records"
@@ -288,12 +304,8 @@ def save_corpus(
     _check_unique_ids(ids)
     with open(poi_path, "w", encoding="utf-8") as fh:
         fh.writelines(_jsonl_lines(ids, lat.tolist(), lon.tolist(), category))
-    header = _EMBED_MAGIC + struct.pack("<III", _FORMAT_VERSION, *matrix.shape)
-    payload = matrix.tobytes(order="C")
-    with open(embedding_path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.write(_digest64(header + payload))
+    head = _EMBED_MAGIC + struct.pack("<III", _EMBED_VERSION, *matrix.shape)
+    _write_checked(embedding_path, head, [matrix])
 
 
 def load_corpus(
@@ -353,7 +365,7 @@ def load_corpus(
     if raw[:4] != _EMBED_MAGIC:
         raise CorpusFormatError(f"{embedding_path}: bad magic {raw[:4]!r}")
     version, n, m = struct.unpack("<III", raw[4:16])
-    if version != _FORMAT_VERSION:
+    if version != _EMBED_VERSION:
         raise CorpusFormatError(f"{embedding_path}: unsupported format version {version}")
     expected = 16 + 4 * n * m + 8
     if len(raw) != expected:
@@ -388,12 +400,10 @@ class CodebookArtifact:
     ``geo_second`` is the :class:`FrameTable` of the j1 cells (filled when
     the rotary stage feeds the second layer) and ``geo_third`` that of the
     (j1, j2) cells (filled when it feeds the third); None gives an empty
-    table. Every cell must lie within the layer sizes. Centroids are
-    snapped to float32 on construction: the storage encoding, so
-    round-trips are bit-exact.
+    table. Every cell and every stored SID code must lie within the layer
+    sizes. Centroids are snapped to float32 on construction: the storage
+    encoding, so round-trips are bit-exact.
     """
-
-    format_version = _FORMAT_VERSION
 
     def __init__(
         self,
@@ -417,6 +427,7 @@ class CodebookArtifact:
         self.layers = snapped
         self.geo_second = self._check_frames(geo_second, 1, config.layer_sizes)
         self.geo_third = self._check_frames(geo_third, 2, config.layer_sizes)
+        check_codes(sid_index.codes, config.layer_sizes)
         self.sid_index = sid_index
 
     @staticmethod
@@ -468,14 +479,6 @@ def _config_to_dict(cfg: TrainConfig) -> dict:
     return data
 
 
-_INT64 = range(-(2**63), 2**63)
-
-
-def _is_number(value) -> bool:
-    """A JSON float, or an int (not a bool) within int64."""
-    return type(value) is float or (type(value) is int and value in _INT64)
-
-
 def _config_from_dict(data: dict) -> TrainConfig:
     """The header's config entry as a checked ``TrainConfig``."""
     try:
@@ -484,140 +487,131 @@ def _config_from_dict(data: dict) -> TrainConfig:
         raise ValueError(f"config {exc}") from exc
 
 
-def _frame_rows(table: FrameTable) -> list[list]:
-    """A frame table as header rows ``[j1, (j2,) lat, lon, d_scale_km]``."""
-    columns = (*table.codes.T.tolist(), table.lat.tolist(), table.lon.tolist(), table.scale.tolist())
-    return list(map(list, zip(*columns)))
+def _why(exc: Exception) -> str:
+    return f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+_FRAME_TABLES = (("geo_second", 1), ("geo_third", 2))
+_FRAME_COLUMNS = (("codes", "<i8"), ("lat", "<f8"), ("lon", "<f8"), ("scale", "<f8"))
+
+
+def _codebook_blocks(header: dict) -> list[tuple[str, str, tuple[int, ...]]]:
+    """The binary blocks that follow a codebook header, in file order, as
+    (name, little-endian dtype, shape): each layer's centroids, the
+    columns of the geo_second and geo_third frame tables, then the SID
+    codes of the header's ids. A layer shape that is not two positive
+    integers or a row count that is not a non-negative integer is named."""
+    layers, ids = header["layers"], header["ids"]
+    if not (isinstance(layers, list) and isinstance(ids, list)):
+        raise TypeError("layers and ids must be lists")
+    blocks = []
+    for level, spec in enumerate(layers, start=1):
+        try:
+            k, dim = spec["k"], spec["dim"]
+            if not all(type(n) is int and n >= 1 for n in (k, dim)):
+                raise ValueError(f"k and dim must be positive integers, got {k!r} and {dim!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"layer {level} spec {spec!r}: {_why(exc)}") from exc
+        blocks.append((f"layer {level} centroids", "<f4", (k, dim)))
+    for table, depth in _FRAME_TABLES:
+        rows = header[table]
+        if type(rows) is not int or rows < 0:
+            raise ValueError(f"{table} must be a row count, got {rows!r}")
+        for column, dtype in _FRAME_COLUMNS:
+            blocks.append((f"{table} {column}", dtype, (rows, depth) if column == "codes" else (rows,)))
+    blocks.append(("SID codes", "<i8", (len(ids), 3)))
+    return blocks
 
 
 def save_codebook(artifact: CodebookArtifact, path: str | Path) -> None:
     """Serialize an artifact; byte-identical for equal artifacts."""
     index = artifact.sid_index
     header = {
-        "format_version": artifact.format_version,
+        "format_version": _CODEBOOK_VERSION,
         "config": _config_to_dict(artifact.config),
-        "layers": [
-            {"k": layer.k, "dim": layer.dim, "metric": layer.metric} for layer in artifact.layers
-        ],
-        "geo_second": _frame_rows(artifact.geo_second),
-        "geo_third": _frame_rows(artifact.geo_third),
-        "assignments": list(map(list, zip(index.ids, *index.codes.T.tolist()))),
+        "layers": [{"k": layer.k, "dim": layer.dim, "metric": layer.metric} for layer in artifact.layers],
+        "geo_second": len(artifact.geo_second),
+        "geo_third": len(artifact.geo_third),
+        "ids": list(index.ids),
     }
+    arrays = {"SID codes": index.codes}
+    for level, layer in enumerate(artifact.layers, start=1):
+        arrays[f"layer {level} centroids"] = layer.centroids
+    for table, _ in _FRAME_TABLES:
+        frames = getattr(artifact, table)
+        arrays.update({f"{table} {column}": getattr(frames, column) for column, _ in _FRAME_COLUMNS})
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    blob = bytearray()
-    blob += _CODEBOOK_MAGIC
-    blob += struct.pack("<I", artifact.format_version)
-    blob += struct.pack("<Q", len(header_bytes))
-    blob += header_bytes
-    for layer in artifact.layers:
-        blob += layer.centroids.astype(np.float32).tobytes(order="C")
-    blob += _digest64(bytes(blob))
-    Path(path).write_bytes(bytes(blob))
-
-
-def _why(exc: Exception) -> str:
-    return f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
-
-
-def _parse_frames(path, name: str, rows: list, depth: int) -> FrameTable:
-    """Header ``name`` rows ``[j1, (j2,) lat, lon, d_scale_km]`` as the
-    depth-``depth`` :class:`FrameTable`. A row of the wrong shape or field
-    type, or one the table rejects, is named."""
-    for i, row in enumerate(rows):
-        if not (
-            isinstance(row, list) and len(row) == depth + 3 and all(map(_is_number, row[depth:]))
-            and all(type(code) is int and code in _INT64 for code in row[:depth])
-        ):
-            why = f"expected {depth + 3} fields: integer cell codes, then lat, lon and d_scale_km"
-            raise CodebookFormatError(f"{path}: {name} row {i} {row!r}: {why}")
-    codes = np.array([row[:depth] for row in rows], dtype=np.int64).reshape(len(rows), depth)
-    fields = np.array([row[depth:] for row in rows], dtype=np.float64).reshape(len(rows), 3)
-    try:
-        return FrameTable(codes, *fields.T)
-    except ValueError as exc:
-        raise CodebookFormatError(f"{path}: {name} {exc}") from exc
+    head = _CODEBOOK_MAGIC + struct.pack("<IQ", _CODEBOOK_VERSION, len(header_bytes)) + header_bytes
+    blocks = (np.ascontiguousarray(arrays[name], dtype) for name, dtype, _ in _codebook_blocks(header))
+    _write_checked(path, head, blocks)
 
 
 def load_codebook(path: str | Path) -> CodebookArtifact:
     """Parse and verify an artifact file; rejects tampering and truncation.
     Every malformed entry raises CodebookFormatError naming the file and
-    the entry."""
+    the entry: a header field, a block, a frame row and cell, or a POI id."""
     raw = Path(path).read_bytes()
     if len(raw) < 24:
         raise CodebookFormatError(f"{path}: truncated (only {len(raw)} bytes)")
     if raw[:4] != _CODEBOOK_MAGIC:
         raise CodebookFormatError(f"{path}: bad magic {raw[:4]!r}")
     (version,) = struct.unpack("<I", raw[4:8])
-    if version != _FORMAT_VERSION:
+    if version != _CODEBOOK_VERSION:
         raise CodebookFormatError(f"{path}: unsupported format version {version}")
-    if raw[-8:] != _digest64(raw[:-8]):
+    end = len(raw) - 8
+    if raw[end:] != _digest64(memoryview(raw)[:end]):
         raise CodebookFormatError(f"{path}: checksum mismatch, file corrupt")
     (header_len,) = struct.unpack("<Q", raw[8:16])
-    header_end = 16 + header_len
-    if header_end > len(raw) - 8:
+    offset = 16 + header_len
+    if offset > end:
         raise CodebookFormatError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[16:header_end].decode("utf-8"))
+        header = json.loads(raw[16:offset].decode("utf-8"))
         config = _config_from_dict(header["config"])
-        sections = [header[key] for key in ("layers", "geo_second", "geo_third", "assignments")]
-        if not all(isinstance(section, list) for section in sections):
-            raise TypeError("layers, geo_second, geo_third and assignments must be lists")
+        blocks = _codebook_blocks(header)
     except (ValueError, KeyError, TypeError) as exc:
         raise CodebookFormatError(f"{path}: malformed header ({_why(exc)})") from exc
-    layer_specs, geo_second_rows, geo_third_rows, rows = sections
 
-    offset = header_end
-    layers = []
-    for level, spec in enumerate(layer_specs, start=1):
-        try:
-            k, dim, metric = spec["k"], spec["dim"], spec["metric"]
-            if not all(type(n) is int and n >= 1 for n in (k, dim)):
-                raise ValueError(f"k and dim must be positive integers, got {k!r} and {dim!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CodebookFormatError(f"{path}: layer {level} spec {spec!r}: {_why(exc)}") from exc
-        nbytes = 4 * k * dim
-        block = raw[offset : offset + nbytes]
-        if len(block) != nbytes:
-            raise CodebookFormatError(f"{path}: truncated centroid block")
-        centroids = np.frombuffer(block, dtype="<f4").reshape(k, dim).astype(np.float64)
-        try:
-            layers.append(CodebookLayer(centroids=centroids, metric=metric))
-        except ValueError as exc:
-            raise CodebookFormatError(f"{path}: layer {level}: {exc}") from exc
+    columns = {}
+    for name, dtype, shape in blocks:
+        count = math.prod(shape)
+        nbytes = count * np.dtype(dtype).itemsize
+        if offset + nbytes > end:
+            raise CodebookFormatError(f"{path}: truncated {name} block")
+        columns[name] = np.frombuffer(raw, dtype, count, offset).reshape(shape)
         offset += nbytes
-    if offset != len(raw) - 8:
-        raise CodebookFormatError(f"{path}: {len(raw) - 8 - offset} unexpected trailing bytes")
+    if offset != end:
+        raise CodebookFormatError(f"{path}: {end - offset} unexpected trailing bytes")
 
-    geo_second = _parse_frames(path, "geo_second", geo_second_rows, 1)
-    geo_third = _parse_frames(path, "geo_third", geo_third_rows, 2)
-    if not rows or set(map(type, rows)) != {list} or set(map(len, rows)) != {4}:
-        bad = next((i for i, row in enumerate(rows) if not isinstance(row, list) or len(row) != 4), None)
-        where = "" if bad is None else f" (row {bad}: {rows[bad]!r})"
-        raise CodebookFormatError(f"{path}: SID assignments must be non-empty [id, j1, j2, j3] rows{where}")
-    ids, *codes = zip(*rows)
-    if set(map(type, ids)) != {str} or not all(ids):
-        bad = next(i for i, poi_id in enumerate(ids) if not isinstance(poi_id, str) or not poi_id)
-        raise CodebookFormatError(
-            f"{path}: SID assignment row {bad}: POI id must be a non-empty string, got {ids[bad]!r}"
-        )
+    layers = []
+    for level, spec in enumerate(header["layers"], start=1):
+        try:
+            layers.append(CodebookLayer(centroids=columns[f"layer {level} centroids"], metric=spec["metric"]))
+        except (KeyError, ValueError) as exc:
+            raise CodebookFormatError(f"{path}: layer {level}: {_why(exc)}") from exc
+    frames = {}
+    for table, _ in _FRAME_TABLES:
+        try:
+            frames[table] = FrameTable(*(columns[f"{table} {column}"] for column, _ in _FRAME_COLUMNS))
+        except ValueError as exc:
+            raise CodebookFormatError(f"{path}: {table} {exc}") from exc
     try:
-        sid_index = SidIndex(ids, np.array(codes).T)
-    except (TypeError, ValueError) as exc:
-        raise CodebookFormatError(f"{path}: bad SID assignments ({exc})") from exc
+        sid_index = SidIndex(header["ids"], columns["SID codes"])
+    except ValueError as exc:
+        raise CodebookFormatError(f"{path}: bad SID index ({exc})") from exc
     try:
-        return CodebookArtifact(
-            config=config,
-            layers=tuple(layers),
-            geo_second=geo_second,
-            geo_third=geo_third,
-            sid_index=sid_index,
-        )
+        return CodebookArtifact(config, tuple(layers), frames["geo_second"], frames["geo_third"], sid_index)
     except ValueError as exc:
         raise CodebookFormatError(f"{path}: inconsistent artifact ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
 # synthetic corpus
+
+
+# cluster anchors lie in [22, 45) degrees north: a disc whose radius is an
+# arc of at most 45 degrees keeps every drawn latitude within [-90, 90]
+_MAX_SPREAD_KM = EARTH_RADIUS_KM * math.pi / 4.0
 
 
 @dataclass(frozen=True)
@@ -641,9 +635,9 @@ class SynthConfig:
     Construction checks every field: the three counts are integers >= 1,
     ``embedding_dim`` an even integer >= 4 and >= ``n_semantic_clusters``
     + 2, ``seed`` an integer >= 0, and the separation, the spread and
-    ``noise_std`` finite real numbers >= 0. numpy numbers are stored as
-    Python numbers, bools are rejected, and each ValueError starts with the
-    field's name.
+    ``noise_std`` finite real numbers >= 0, the spread at most an arc of 45
+    degrees (about 5,003.8 km). numpy numbers are stored as Python numbers,
+    bools are rejected, and each ValueError starts with the field's name.
     """
 
     n_semantic_clusters: int = 4
@@ -677,6 +671,8 @@ class SynthConfig:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
             object.__setattr__(self, name, value)
+        if self.subcluster_spread_km > _MAX_SPREAD_KM:
+            raise ValueError(f"subcluster_spread_km must be <= {_MAX_SPREAD_KM}, got {self.subcluster_spread_km}")
 
 
 def _orthonormal_rows(

@@ -129,9 +129,9 @@ class SidIndex:
     POIs by triple; member lists are sorted by POI id.
 
     Build it from a mapping, ``SidIndex({poi_id: sid})``, or from columns,
-    ``SidIndex(ids, codes)``: POI ids in any order and an (N, 3) integer
-    array in the same order. The index holds bare triples, so a mapped
-    ``Sid`` with a layer-4 ordinal is rejected.
+    ``SidIndex(ids, codes)``: POI ids (non-empty strings) in any order and
+    an (N, 3) integer array in the same order. The index holds bare
+    triples, so a mapped ``Sid`` with a layer-4 ordinal is rejected.
     """
 
     def __init__(
@@ -146,6 +146,9 @@ class SidIndex:
         n = len(ids)
         if n == 0:
             raise ValueError("SidIndex needs at least one assignment")
+        if set(map(type, ids)) != {str} or not all(ids):
+            bad = next(i for i, poi_id in enumerate(ids) if type(poi_id) is not str or not poi_id)
+            raise ValueError(f"POI id {bad} must be a non-empty string, got {ids[bad]!r}")
         codes = np.asarray(codes)
         if codes.shape != (n, 3) or not np.issubdtype(codes.dtype, np.integer):
             raise ValueError(f"codes must be an ({n}, 3) integer array, got {codes.dtype} {codes.shape}")

@@ -88,6 +88,13 @@ class TestSmokePath:
         assert capsys.readouterr().err == f"error: {field} must be finite and >= 0, got nan\n"
         assert not (tmp_path / "c").exists()
 
+    def test_synth_spread_past_the_poles_exits_one_writing_nothing(self, tmp_path, capsys):
+        capsys.readouterr()
+        argv = ["synth", "--out", str(tmp_path / "c"), "--spread-km", "100000"]
+        assert main([*argv, "--clusters", "2", "--per-cluster", "5", "--dim", "8"]) == 1
+        assert capsys.readouterr().err.startswith("error: subcluster_spread_km must be <= 5003.77")
+        assert not (tmp_path / "c").exists()
+
     def test_export_geojson(self, corpus_dir, tmp_path):
         artifact = tmp_path / "cb.bin"
         _train(corpus_dir, artifact)

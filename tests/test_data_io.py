@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from oracles import generate_synthetic_oracle, save_corpus_metadata_oracle
 
 from geosid.data_io import (
@@ -18,6 +19,7 @@ from geosid.data_io import (
     FrameTable,
     PoiRecord,
     SynthConfig,
+    _codebook_blocks,
     export_geojson,
     generate_synthetic,
     load_codebook,
@@ -26,7 +28,7 @@ from geosid.data_io import (
     save_corpus,
 )
 from geosid.geo import GeoPoint, haversine_km
-from geosid.quantizer import CodebookLayer, TrainConfig
+from geosid.quantizer import ROPE_LAYERS, VARIANTS, CodebookLayer, TrainConfig, enhanced_dim
 from geosid.sid import Sid, SidIndex
 
 
@@ -255,6 +257,23 @@ class TestSaveCorpusFormat:
             assert (tmp_path / f"{name}.jsonl").read_bytes() == expected
         assert (tmp_path / "corpus.bin").read_bytes() == (tmp_path / "list.bin").read_bytes()
 
+    def test_traced_peak_holds_the_payload_once(self, tmp_path):
+        # 10,240 POIs x 64: the float32 payload is 2.5 MiB; a file image
+        # built as header + payload, hashed and then written, held it three
+        # times (a 7.5 MiB peak)
+        n, m = 10_240, 64
+        rng = np.random.default_rng(0)
+        corpus = Corpus([f"p{i:06d}" for i in range(n)], rng.uniform(-90, 90, n), rng.uniform(-180, 180, n))
+        matrix = rng.standard_normal((n, m))
+        tracemalloc.start()
+        try:
+            save_corpus(corpus, matrix, *_paths(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 4 * n * m == 2_621_440
+        assert peak <= 4 * 2**20
+
 
 class TestCorpusRejections:
     # (metadata lines, embedding matrix, the exact message: {poi} and {emb}
@@ -415,20 +434,96 @@ def _tiny_artifact():
     return CodebookArtifact(cfg, layers, None, geo_third, index)
 
 
-def _saved_with_header(tmp_path, edit):
-    """The tiny artifact saved with ``edit`` applied to its JSON header, and
-    the checksum recomputed, so that only the header entry is wrong."""
+def _saved_with(tmp_path, edit):
+    """The tiny artifact saved, then ``edit(header, blocks)`` applied to its
+    JSON header and to its binary blocks (block name -> writable array, in
+    file order), and the checksum recomputed, so that only the edited
+    entry or block is wrong."""
     path = tmp_path / "cb.bin"
     save_codebook(_tiny_artifact(), path)
     raw = path.read_bytes()
     (header_len,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16 : 16 + header_len])
-    edit(header)
+    blocks, offset = {}, 16 + header_len
+    for name, dtype, shape in _codebook_blocks(header):
+        count = math.prod(shape)
+        blocks[name] = np.frombuffer(raw, dtype, count, offset).reshape(shape).copy()
+        offset += blocks[name].nbytes
+    assert offset == len(raw) - 8
+    edit(header, blocks)
     header_bytes = json.dumps(header).encode()
     body = raw[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes
-    body += raw[16 + header_len : -8]
+    body += b"".join(block.tobytes() for block in blocks.values())
     path.write_bytes(body + hashlib.sha256(body).digest()[:8])
     return path
+
+
+def _set(name, index, value):
+    """An edit that sets ``blocks[name][index] = value``."""
+    return lambda header, blocks: blocks[name].__setitem__(index, value)
+
+
+def _drop_from(name):
+    """An edit that cuts the file before the block ``name``."""
+
+    def edit(header, blocks):
+        for later in list(blocks)[list(blocks).index(name) :]:
+            del blocks[later]
+
+    return edit
+
+
+def _header(edit):
+    """An edit of the JSON header alone."""
+    return lambda header, blocks: edit(header)
+
+
+def _geo_second_row(header, blocks):
+    # one j1 frame whose centre latitude is 95
+    header["geo_second"] = 1
+    for column, value in (("codes", [[0]]), ("lat", [95.0]), ("lon", [10.0]), ("scale", [1.0])):
+        blocks[f"geo_second {column}"] = np.array(value, dtype=blocks[f"geo_second {column}"].dtype)
+
+
+def _ids(ids, codes=None):
+    """An edit that stores ``ids`` and, if given, ``codes`` as the SID block."""
+
+    def edit(header, blocks):
+        header["ids"] = ids
+        if codes is not None:
+            blocks["SID codes"] = np.array(codes, dtype="<i8").reshape(-1, 3)
+
+    return edit
+
+
+@st.composite
+def _artifacts(draw):
+    """Any valid artifact: every rope layer and variant, K from 1, empty
+    or filled frame tables, ids with JSON-escaped and non-ASCII text."""
+    cfg = TrainConfig(
+        layer_sizes=tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))),
+        seed=draw(st.integers(0, 2**40)),
+        variant=draw(st.sampled_from(VARIANTS)),
+        rope_layer=draw(st.sampled_from(ROPE_LAYERS)),
+    )
+    values = st.floats(-1e6, 1e6, width=32)
+    layers, dim = [], 2 * draw(st.integers(1, 3))
+    for level, k in enumerate(cfg.layer_sizes, start=1):
+        dim = enhanced_dim(cfg, dim) if level in cfg.geo_levels else dim
+        layers.append(CodebookLayer(draw(hnp.arrays(np.float64, (k, dim), elements=values)), cfg.metric))
+    tables = []
+    for depth in (1, 2):
+        cells = st.tuples(*(st.integers(0, k - 1) for k in cfg.layer_sizes[:depth]))
+        codes = draw(st.lists(cells, unique=True, max_size=4))
+        rows = len(codes)
+        lat = draw(st.lists(st.floats(-90.0, 90.0), min_size=rows, max_size=rows))
+        lon = draw(st.lists(st.floats(-1e4, 1e4), min_size=rows, max_size=rows))
+        scale = draw(st.lists(st.floats(1e-9, 1e9), min_size=rows, max_size=rows))
+        tables.append(FrameTable(np.array(codes, dtype=np.int64).reshape(rows, depth), lat, lon, scale))
+    ids = draw(st.lists(_awkward_text, min_size=1, max_size=6, unique=True))
+    code = st.tuples(*(st.integers(0, k - 1) for k in cfg.layer_sizes))
+    codes = draw(st.lists(code, min_size=len(ids), max_size=len(ids)))
+    return CodebookArtifact(cfg, tuple(layers), *tables, SidIndex(ids, np.array(codes)))
 
 
 class TestCodebookArtifact:
@@ -441,6 +536,47 @@ class TestCodebookArtifact:
         save_codebook(loaded, tmp_path / "cb2.bin")
         assert (tmp_path / "cb2.bin").read_bytes() == path.read_bytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(artifact=_artifacts())
+    def test_any_artifact_round_trips(self, tmp_path_factory, artifact):
+        tmp_path = tmp_path_factory.mktemp("codebook")
+        save_codebook(artifact, tmp_path / "a.bin")
+        loaded = load_codebook(tmp_path / "a.bin")
+        assert loaded == artifact
+        assert loaded.config == artifact.config
+        save_codebook(loaded, tmp_path / "b.bin")
+        assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
+
+    def test_file_is_header_then_little_endian_blocks(self, tmp_path):
+        # the documented version-2 layout, stated here without the writer's help
+        path = tmp_path / "cb.bin"
+        artifact = _tiny_artifact()
+        save_codebook(artifact, path)
+        raw = path.read_bytes()
+        assert raw[:4] == b"GSCB"
+        version, header_len = struct.unpack("<IQ", raw[4:16])
+        header = json.loads(raw[16 : 16 + header_len])
+        assert version == header["format_version"] == 2
+        assert list(header) == ["format_version", "config", "layers", "geo_second", "geo_third", "ids"]
+        assert header["layers"] == [
+            {"k": 2, "dim": 2, "metric": "cosine"},
+            {"k": 2, "dim": 2, "metric": "cosine"},
+            {"k": 2, "dim": 8, "metric": "cosine"},
+        ]
+        assert (header["geo_second"], header["geo_third"], header["ids"]) == (0, 2, ["a", "b"])
+        blocks = [layer.centroids.astype("<f4") for layer in artifact.layers]
+        blocks += [np.empty((0, 1), "<i8")] + [np.empty(0, "<f8")] * 3
+        blocks += [
+            np.array([[0, 0], [1, 0]], "<i8"),
+            np.array([30.0, 31.0], "<f8"),
+            np.array([110.0, 111.0], "<f8"),
+            np.array([12.5, 3.25], "<f8"),
+            np.array([[0, 0, 1], [1, 0, 0]], "<i8"),
+        ]
+        body = b"".join(block.tobytes() for block in blocks)
+        assert raw[16 + header_len : -8] == body
+        assert raw[-8:] == hashlib.sha256(raw[:-8]).digest()[:8]
+
     def test_column_index_saves_mapping_bytes(self, tmp_path):
         from_mapping = _tiny_artifact()
         index = SidIndex(["b", "a"], np.array([[1, 0, 0], [0, 0, 1]]))
@@ -452,46 +588,66 @@ class TestCodebookArtifact:
         save_codebook(from_columns, tmp_path / "columns.bin")
         assert (tmp_path / "columns.bin").read_bytes() == (tmp_path / "mapping.bin").read_bytes()
 
-    @pytest.mark.parametrize(
-        "rows, match",
-        [
-            ([], "non-empty"),
-            ([["a", 0, 0]], r"\[id, j1, j2, j3\]"),
-            ([["a", 0, 0, -1]], "non-negative"),
-            ([["a", 0, 0, 1.5]], "integer"),
-            ([["a", 0, 0, 1], ["a", 1, 0, 0]], "duplicate"),
-        ],
-    )
-    def test_bad_assignment_rows_rejected(self, tmp_path, rows, match):
-        path = _saved_with_header(tmp_path, lambda header: header.update(assignments=rows))
-        with pytest.raises(CodebookFormatError, match=match):
-            load_codebook(path)
+    def test_out_of_range_sid_codes_rejected(self):
+        tiny = _tiny_artifact()
+        index = SidIndex(["a", "b"], np.full((2, 3), 7))
+        with pytest.raises(ValueError, match=r"^j1=7 out of range for layer capacity 2$"):
+            CodebookArtifact(tiny.config, tiny.layers, None, tiny.geo_third, index)
 
     @pytest.mark.parametrize(
         "edit, match",
         [
-            (lambda h: h.pop("assignments"), r"malformed header \(missing 'assignments'\)"),
-            (lambda h: h.update(geo_third={}), "must be lists"),
-            (lambda h: h["layers"][0].pop("k"), r"layer 1 spec .*missing 'k'"),
-            (lambda h: h["layers"][1].update(k=2.0), "layer 2 spec .*positive integers"),
+            (_set("geo_third codes", (1, 0), -1), r"geo_third row 1 cell \(-1, 0\): negative cell code"),
+            (_set("geo_third lat", 0, 95.0), r"geo_third row 0 cell \(0, 0\): invalid latitude"),
+            (_set("geo_third lon", 0, np.inf), r"geo_third row 0 cell \(0, 0\): invalid latitude or longitude"),
+            (_set("geo_third scale", 0, -2.0), r"geo_third row 0 cell \(0, 0\): d_scale_km must be finite"),
+            (_set("geo_third scale", 1, np.nan), r"geo_third row 1 cell \(1, 0\): d_scale_km must be finite"),
+            (_set("geo_third codes", 1, [0, 0]), r"geo_third row 1 cell \(0, 0\): repeats row 0"),
+            (_set("geo_third codes", 1, [0, 5]), r"inconsistent artifact \(geo frame cell \(0, 5\) outside"),
+            (_geo_second_row, r"geo_second row 0 cell \(0,\): invalid latitude"),
+            (_set("layer 2 centroids", (0, 1), np.nan), r"layer 2: centroids contain non-finite values"),
+            (_set("SID codes", (1, 2), -1), r"bad SID index \(SID codes must be non-negative\)"),
+            (_set("SID codes", slice(None), 7), r"inconsistent artifact \(j1=7 out of range for layer capacity 2\)"),
+            (_set("SID codes", (0, 2), 2), r"inconsistent artifact \(j3=2 out of range for layer capacity 2\)"),
+            (_ids([], []), r"bad SID index \(SidIndex needs at least one assignment\)"),
+            (_ids(["a", "a"]), r"bad SID index \(duplicate POI id 'a'\)"),
+            (_ids(["a", 0]), r"bad SID index \(POI id 1 must be a non-empty string, got 0\)"),
+            (_ids(["", "b"]), r"bad SID index \(POI id 0 must be a non-empty string, got ''\)"),
+            (_ids(["a", None]), r"bad SID index \(POI id 1 must be a non-empty string, got None\)"),
+            (_ids(["a", "b", "c"]), r"truncated SID codes block"),
+            (_ids(["a"]), r"24 unexpected trailing bytes"),
+            (lambda header, blocks: blocks.pop("SID codes"), r"truncated SID codes block"),
+            (_drop_from("geo_third lat"), r"truncated geo_third lat block"),
+            (_drop_from("layer 3 centroids"), r"truncated layer 3 centroids block"),
+            # a count that claims more rows shifts every later block: the
+            # file ends inside the last one
+            (lambda header, blocks: header.update(geo_third=3), r"truncated SID codes block"),
+            (lambda header, blocks: header["layers"][2].update(dim=9), r"truncated SID codes block"),
+        ],
+    )
+    def test_bad_block_named(self, tmp_path, edit, match):
+        # checksum-valid files in which one block, or the header count that
+        # sizes it, is wrong
+        path = _saved_with(tmp_path, edit)
+        with pytest.raises(CodebookFormatError, match=match) as info:
+            load_codebook(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda h: h.pop("ids"), r"malformed header \(missing 'ids'\)"),
+            (lambda h: h.pop("geo_third"), r"malformed header \(missing 'geo_third'\)"),
+            (lambda h: h.update(ids={"a": 0}), r"malformed header \(layers and ids must be lists\)"),
+            (lambda h: h.update(layers=3), r"malformed header \(layers and ids must be lists\)"),
+            (lambda h: h.update(geo_third=2.0), r"malformed header \(geo_third must be a row count, got 2\.0\)"),
+            (lambda h: h.update(geo_second=-1), r"malformed header \(geo_second must be a row count, got -1\)"),
+            (lambda h: h.update(geo_second=True), r"malformed header \(geo_second must be a row count, got True\)"),
+            (lambda h: h["layers"][0].pop("k"), r"malformed header \(layer 1 spec .*missing 'k'"),
+            (lambda h: h["layers"][1].update(k=2.0), r"malformed header \(layer 2 spec .*positive integers"),
+            (lambda h: h["layers"][1].update(dim=True), r"malformed header \(layer 2 spec .*positive integers"),
             (lambda h: h["layers"][2].update(metric="manhattan"), "layer 3: unknown metric"),
-            (lambda h: h["assignments"].__setitem__(1, 7), r"\[id, j1, j2, j3\] rows \(row 1: 7\)"),
-            (lambda h: h["assignments"].__setitem__(1, [0, 1, 0, 0]), "row 1: POI id must be a non-empty string"),
-            (lambda h: h["assignments"].__setitem__(0, ["", 0, 0, 1]), "row 0: POI id must be a non-empty string"),
-            (lambda h: h["assignments"].__setitem__(1, ["b", "1", 0, 0]), "bad SID assignments .*integer"),
-            (lambda h: h["geo_third"].__setitem__(1, [1, 31.0, 111.0]), r"geo_third row 1 .*5 fields"),
-            (lambda h: h["geo_third"][0].__setitem__(4, -2.0), "geo_third row 0 .*positive"),
-            (lambda h: h["geo_third"][0].__setitem__(2, "north"), "geo_third row 0 "),
-            (lambda h: h.update(geo_second=[[0, 95.0, 10.0, 1.0]]), "geo_second row 0 .*latitude"),
-            (lambda h: h.update(geo_third=[[0, 5, 30.0, 110.0, 1.0]]), "inconsistent artifact .*outside"),
-            (lambda h: h["geo_third"].append([0, 0, 30.0, 110.0, 999.0]), r"geo_third row 2 cell \(0, 0\): repeats row 0"),
-            (lambda h: h["geo_third"][0].__setitem__(0, 0.9), r"geo_third row 0 \[0\.9, .*integer cell codes"),
-            (lambda h: h["geo_third"][1].__setitem__(1, "0"), r"geo_third row 1 .*integer cell codes"),
-            (lambda h: h["geo_third"][1].__setitem__(4, True), r"geo_third row 1 .*d_scale_km"),
-            (lambda h: h["geo_third"][0].__setitem__(3, None), r"geo_third row 0 .*d_scale_km"),
-            (lambda h: h["geo_third"][0].__setitem__(3, float("inf")), r"geo_third row 0 cell \(0, 0\): .*longitude"),
-            (lambda h: h["geo_third"][1].__setitem__(0, 2**64), r"geo_third row 1 .*integer cell codes"),
-            (lambda h: h["geo_third"][1].__setitem__(0, -1), r"geo_third row 1 cell \(-1, 0\): negative"),
+            (lambda h: h["layers"][2].pop("metric"), "layer 3: missing 'metric'"),
             (lambda h: h["config"].update(d_scale_km=True), r"malformed header \(config d_scale_km must be a number"),
             (lambda h: h["config"].update(max_iters=True), r"malformed header \(config max_iters must be an integer"),
             (lambda h: h["config"].update(seed=1.5), r"malformed header \(config seed must be an integer"),
@@ -506,7 +662,7 @@ class TestCodebookArtifact:
     )
     def test_malformed_header_entry_named(self, tmp_path, edit, match):
         # checksum-valid files whose header is wrong in one entry
-        path = _saved_with_header(tmp_path, edit)
+        path = _saved_with(tmp_path, _header(edit))
         with pytest.raises(CodebookFormatError, match=match) as info:
             load_codebook(path)
         assert str(info.value).startswith(f"{path}: ")
@@ -530,11 +686,21 @@ class TestCodebookArtifact:
         with pytest.raises(CodebookFormatError, match="version|checksum"):
             load_codebook(path)
 
+    def test_version_1_file_rejected(self, tmp_path):
+        # a version-1 file (frames and SIDs as JSON rows) with a valid checksum
+        header = json.dumps({"format_version": 1, "assignments": [["a", 0, 0, 0]]}).encode()
+        body = b"GSCB" + struct.pack("<IQ", 1, len(header)) + header
+        path = tmp_path / "v1.bin"
+        path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+        with pytest.raises(CodebookFormatError, match=r"unsupported format version 1$"):
+            load_codebook(path)
+
     def test_tampered_centroid_rejected(self, tmp_path):
         path = tmp_path / "cb.bin"
         save_codebook(_tiny_artifact(), path)
         raw = bytearray(path.read_bytes())
-        raw[-12] ^= 0xFF  # inside the final centroid block
+        (header_len,) = struct.unpack("<Q", raw[8:16])
+        raw[16 + header_len] ^= 0xFF  # the first centroid block's first byte
         path.write_bytes(bytes(raw))
         with pytest.raises(CodebookFormatError, match="checksum"):
             load_codebook(path)
@@ -641,6 +807,14 @@ class TestSynthConfig:
     def test_rejection_names_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be "):
             SynthConfig(**{field: value})
+
+    def test_spread_at_most_an_arc_of_45_degrees(self):
+        # anchors lie below 45N: a wider disc could reach past a pole
+        edge = 6371.0 * math.pi / 4.0
+        pois, _ = generate_synthetic(SynthConfig(2, 200, 2, 40.0, edge, 8, 0.005, 3))
+        assert np.all(np.abs(pois.lat) <= 90.0) and pois.lat.max() > 70.0
+        with pytest.raises(ValueError, match=r"^subcluster_spread_km must be <= 5003\.77"):
+            SynthConfig(subcluster_spread_km=math.nextafter(edge, math.inf))
 
     def test_numpy_numbers_taken_as_python_numbers(self):
         cfg = SynthConfig(

@@ -178,6 +178,8 @@ class TestSidIndex:
             (["a"], [[0.0, 0.0, 0.0]], "integer array"),
             (["a"], [[0, -1, 0]], "non-negative"),
             (["b", "a", "b"], [[0, 0, 0]] * 3, "duplicate POI id 'b'"),
+            (["a", 7], [[0, 0, 0]] * 2, "POI id 1 must be a non-empty string, got 7"),
+            (["", "a"], [[0, 0, 0]] * 2, "POI id 0 must be a non-empty string, got ''"),
         ],
     )
     def test_bad_columns_rejected(self, ids, codes, match):
