@@ -42,9 +42,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .geo import EARTH_RADIUS_KM, GeoPoint, local_polar
+from .geo import EARTH_RADIUS_KM, GeoPoint, centre_trig, local_polar
 from .quantizer import CodebookLayer, TrainConfig, _is_int, _real, enhanced_dim
-from .sid import Sid, SidIndex, check_codes
+from .sid import CodeKeys, Sid, SidIndex, check_codes
 
 __all__ = [
     "CodebookArtifact",
@@ -156,22 +156,19 @@ class Corpus(Sequence[PoiRecord]):
         )
 
 
-def _poi_columns(
-    pois: Sequence[PoiRecord],
-) -> tuple[Sequence[str], np.ndarray, np.ndarray, Sequence[str | None]]:
-    """The ids, float64 latitude and longitude (degrees) and categories of
-    ``pois``. A :class:`Corpus` hands over its own columns; any other
-    sequence of records is read in one pass, each record's location once."""
+def _poi_columns(pois: Sequence[PoiRecord]) -> tuple[Sequence[str], np.ndarray, np.ndarray]:
+    """The ids and float64 latitude and longitude (degrees) of ``pois``. A
+    :class:`Corpus` hands over its own columns; any other sequence of
+    records is read in one pass, each record's location once."""
     if isinstance(pois, Corpus):
-        return pois.ids, pois.lat, pois.lon, pois.category
-    ids, lat, lon, category = [], [], [], []
+        return pois.ids, pois.lat, pois.lon
+    ids, lat, lon = [], [], []
     for poi in pois:
         location = poi.location
         ids.append(poi.id)
         lat.append(location.lat)
         lon.append(location.lon)
-        category.append(poi.category)
-    return ids, np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64), category
+    return ids, np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64)
 
 
 class FrameTable:
@@ -209,10 +206,9 @@ class FrameTable:
         self.codes, self.lat, self.lon, self.scale = codes, lat[order], _wrap_lon(lon[order]), scale[order]
         for col in (self.codes, self.lat, self.lon, self.scale):
             col.flags.writeable = False
-        # lookup keys: j1, or j1 * radix + j2, unique while j2 < radix
-        self._radix = int(codes[:, -1].max(initial=-1)) + 1
-        self._weights = np.array([self._radix, 1])[-codes.shape[1] :]
-        self._keys = codes @ self._weights
+        self._lookup = CodeKeys(codes)
+        # what polar reads per cell, one row each, gathered in one take
+        self._cells = np.stack((self.lat, self.lon, *centre_trig(self.lat), self.scale))
 
     def __len__(self) -> int:
         return self.codes.shape[0]
@@ -234,17 +230,25 @@ class FrameTable:
 
         ``codes`` is (N, depth) and non-negative. Rows whose cell has no
         frame get the neutral frame: zero distance and angle, scale 1.
+
+        Each cell centre's cosine and sine of latitude are computed once,
+        when the table is built, and gathered per row into
+        :func:`local_polar`. No bit changes: numpy's elementwise functions
+        give an element the same bits at any array position (a test holds
+        numpy to this), and every other step is elementwise per row, so a
+        row's result does not depend on which other rows share its batch.
+        A row without a frame is computed against the last cell's centre,
+        then overwritten.
         """
         n = codes.shape[0]
-        d_km, sigma, scale = np.zeros(n), np.zeros(n), np.ones(n)
-        if self._keys.size == 0:
-            return d_km, sigma, scale
-        keys = codes @ self._weights
-        pos = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
-        rows = np.nonzero((self._keys[pos] == keys) & (codes[:, -1] < self._radix))[0]
-        cell = pos[rows]
-        d_km[rows], sigma[rows] = local_polar(self.lat[cell], self.lon[cell], lat[rows], lon[rows])
-        scale[rows] = self.scale[cell]
+        if len(self) == 0:
+            return np.zeros(n), np.zeros(n), np.ones(n)
+        cell = self._lookup.find(codes)
+        lat0, lon0, cos0, sin0, scale = self._cells.take(cell, axis=1)
+        d_km, sigma = local_polar(lat0, lon0, lat, lon, (cos0, sin0))
+        missing = cell < 0
+        if missing.any():
+            d_km[missing], sigma[missing], scale[missing] = 0.0, 0.0, 1.0
         return d_km, sigma, scale
 
 
@@ -279,11 +283,12 @@ def _check_unique_ids(ids: Sequence[str]) -> None:
 def _jsonl_lines(ids, lat, lon, category):
     """One metadata line per POI, as ``json.dumps(rec, separators=(",", ":"))``
     writes ``{"id", "lat", "lon"[, "category"]}``: strings through the same
-    ASCII escaper, floats through ``float.__repr__``."""
+    ASCII escaper, floats through ``float.__repr__``. Each distinct
+    category is quoted once."""
     quote = json.encoder.encode_basestring_ascii
+    tails = {cat: "}\n" if cat is None else f',"category":{quote(cat)}}}\n' for cat in set(category)}
     for poi_id, y, x, cat in zip(ids, lat, lon, category):
-        tail = "}\n" if cat is None else f',"category":{quote(cat)}}}\n'
-        yield f'{{"id":{quote(poi_id)},"lat":{y!r},"lon":{x!r}{tail}'
+        yield f'{{"id":{quote(poi_id)},"lat":{y!r},"lon":{x!r}{tails[cat]}'
 
 
 def save_corpus(
@@ -300,8 +305,9 @@ def save_corpus(
         raise ValueError(
             f"embedding matrix shape {matrix.shape} does not match {len(pois)} POI records"
         )
-    ids, lat, lon, category = _poi_columns(pois)
+    ids, lat, lon = _poi_columns(pois)
     _check_unique_ids(ids)
+    category = pois.category if isinstance(pois, Corpus) else [poi.category for poi in pois]
     with open(poi_path, "w", encoding="utf-8") as fh:
         fh.writelines(_jsonl_lines(ids, lat.tolist(), lon.tolist(), category))
     head = _EMBED_MAGIC + struct.pack("<III", _EMBED_VERSION, *matrix.shape)
@@ -427,7 +433,7 @@ class CodebookArtifact:
         self.layers = snapped
         self.geo_second = self._check_frames(geo_second, 1, config.layer_sizes)
         self.geo_third = self._check_frames(geo_third, 2, config.layer_sizes)
-        check_codes(sid_index.codes, config.layer_sizes)
+        check_codes(sid_index.codes, config.layer_sizes, sid_index.ids)
         self.sid_index = sid_index
 
     @staticmethod
@@ -725,14 +731,20 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Corpus, np.ndarray]:
     order, categories ``cluster00``, ...) and the float64 matrix. Each POI
     draws its ring offset, its noise row straight into the matrix and one
     pair of uniforms for its disc position; each cluster's rows are then
-    finished in place, with the operation order of the formula above.
+    finished in place, with the operation order of the formula above. The
+    disc offsets are computed for all POIs after the draws, with the steps
+    and the bits of :func:`_offset_point`: ``math.cos`` and ``math.sin``
+    per POI, numpy only for the correctly rounded ``sqrt``, ``+``, ``-``,
+    ``*``, ``/`` and ``degrees``.
     """
     rng = np.random.default_rng(cfg.seed)
-    total = cfg.n_semantic_clusters * cfg.pois_per_cluster
+    per = cfg.pois_per_cluster
+    total = cfg.n_semantic_clusters * per
     matrix = np.empty((total, cfg.embedding_dim), dtype=np.float64)
-    ring_of = np.empty(cfg.pois_per_cluster, dtype=np.int64)
-    lat: list[float] = []
-    lon: list[float] = []
+    ring_of = np.empty(per, dtype=np.int64)
+    # per POI the uniforms of its disc radius and angle
+    disc = np.empty((total, 2))
+    centers: list[GeoPoint] = []
     category: list[str] = []
 
     cluster_dirs = _orthonormal_rows(rng, cfg.n_semantic_clusters, cfg.embedding_dim)
@@ -743,34 +755,38 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Corpus, np.ndarray]:
         for a in _RING_ANGLES_DEG
     ])
 
-    n_sub = cfg.geo_subclusters_per_semantic
-    spread, separation, two_pi = cfg.subcluster_spread_km, cfg.subcluster_separation_km, 2.0 * math.pi
+    n_sub, separation = cfg.geo_subclusters_per_semantic, cfg.subcluster_separation_km
     for c in range(cfg.n_semantic_clusters):
         anchor_lat = float(rng.uniform(22.0, 45.0))
         anchor_lon = float(rng.uniform(100.0, 120.0))
-        sub_centers = [
+        centers += [
             GeoPoint(*_offset_point(anchor_lat, anchor_lon, 0.0, (s - (n_sub - 1) / 2.0) * separation))
             for s in range(n_sub)
         ]
-        # first blob double-weighted: POI i sits in blob max(0, i mod (n_sub+1) - 1)
-        centers = [sub_centers[max(0, j - 1)] for j in range(n_sub + 1)]
-        rows = matrix[c * cfg.pois_per_cluster : (c + 1) * cfg.pois_per_cluster]
-        category += [f"cluster{c:02d}"] * cfg.pois_per_cluster
-        for i in range(cfg.pois_per_cluster):
+        rows = matrix[c * per : (c + 1) * per]
+        category += [f"cluster{c:02d}"] * per
+        for i in range(per):
             ring_of[i] = rng.integers(len(ring))
             rng.standard_normal(out=rows[i])
             # uniform() and uniform(0, 2 pi) are low + (high - low) * u with low 0
-            u, v = rng.random(2).tolist()
-            radius = spread * math.sqrt(u)
-            angle = two_pi * v
-            center = centers[i % (n_sub + 1)]
-            y, x = _offset_point(center.lat, center.lon, radius * math.cos(angle), radius * math.sin(angle))
-            lat.append(y)
-            lon.append(x)
+            rng.random(out=disc[c * per + i])
         base = ring[ring_of]
         base += cluster_dirs[c]
         rows *= cfg.noise_std
         rows += base
+
+    # first blob double-weighted: POI i of a cluster sits in its blob max(0, i mod (n_sub+1) - 1)
+    blob = np.maximum(np.arange(per) % (n_sub + 1) - 1, 0)
+    center = (np.arange(cfg.n_semantic_clusters)[:, None] * n_sub + blob).ravel()
+    center_lat = np.array([p.lat for p in centers])[center]
+    center_lon = np.array([p.lon for p in centers])[center]
+    east_scale = np.array([EARTH_RADIUS_KM * math.cos(math.radians(p.lat)) for p in centers])[center]
+    radius = cfg.subcluster_spread_km * np.sqrt(disc[:, 0])
+    angle = (2.0 * math.pi * disc[:, 1]).tolist()
+    north = radius * np.fromiter(map(math.cos, angle), np.float64, total)
+    east = radius * np.fromiter(map(math.sin, angle), np.float64, total)
+    lat = center_lat + np.degrees(north / EARTH_RADIUS_KM)
+    lon = center_lon + np.degrees(east / east_scale)
 
     ids = ["p%06d" % row for row in range(total)]
     return Corpus(ids, lat, lon, category), matrix

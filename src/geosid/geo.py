@@ -20,6 +20,7 @@ __all__ = [
     "GeoPoint",
     "LocalPolar",
     "azimuth_rad",
+    "centre_trig",
     "geo_centroid",
     "group_centroids",
     "haversine_km",
@@ -149,7 +150,11 @@ def to_local_polar(center: GeoPoint, p: GeoPoint) -> LocalPolar:
 
 
 def local_polar(
-    lat0: np.ndarray, lon0: np.ndarray, lat: np.ndarray, lon: np.ndarray
+    lat0: np.ndarray,
+    lon0: np.ndarray,
+    lat: np.ndarray,
+    lon: np.ndarray,
+    trig0: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Columnar :func:`to_local_polar`: ``(d_km, sigma_rad)`` of each point
     (``lat``, ``lon``) in the frame anchored at (``lat0``, ``lon0``).
@@ -159,19 +164,32 @@ def local_polar(
     ``h`` to [0, 1], sigma = 0 for coincident points and -pi -> +pi.
     numpy's vectorized sin/cos may differ from ``math`` in the last ulp, so
     the results agree with the scalar functions to ~1e-13, not bitwise.
+
+    ``trig0`` is ``centre_trig(lat0)`` if the caller has it, for instance
+    gathered per row from values computed once per centre. numpy's
+    elementwise functions give an element the same bits at any array
+    position, so the gathered values are the ones computed here.
     """
-    phi0 = np.radians(lat0)
+    cos0, sin0 = centre_trig(lat0) if trig0 is None else trig0
     phip = np.radians(lat)
     dphi = np.radians(np.subtract(lat, lat0))
     dpsi = np.radians(np.subtract(lon, lon0))
-    cos0, sin0 = np.cos(phi0), np.sin(phi0)
     cosp, sinp = np.cos(phip), np.sin(phip)
     h = np.sin(dphi / 2.0) ** 2 + cos0 * cosp * np.sin(dpsi / 2.0) ** 2
-    d_km = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    d_km = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h.clip(0.0, 1.0)))
     x = cos0 * sinp - sin0 * cosp * np.cos(dpsi)
     y = np.sin(dpsi) * cosp
-    sigma = np.where((x == 0.0) & (y == 0.0), 0.0, np.arctan2(y, x))
-    return d_km, np.where(sigma <= -math.pi, math.pi, sigma)
+    sigma = np.arctan2(y, x)
+    np.copyto(sigma, 0.0, where=(x == 0.0) & (y == 0.0))
+    np.copyto(sigma, math.pi, where=sigma <= -math.pi)
+    return d_km, sigma
+
+
+def centre_trig(lat0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine and sine of frame-centre latitudes in degrees: the part
+    of :func:`local_polar` that depends on the centre alone."""
+    phi0 = np.radians(lat0)
+    return np.cos(phi0), np.sin(phi0)
 
 
 def group_centroids(

@@ -60,9 +60,11 @@ class NormalizedGeo:
         s = np.asarray(self.sigma_norm, dtype=float)
         d = np.asarray(self.d_norm, dtype=float)
         half_pi = np.pi / 2 + 1e-12
-        if not (np.all(np.isfinite(s)) and np.all(np.abs(s) <= half_pi)):
+        # one pass per bound: min and max propagate NaN, which fails each
+        # comparison, and an infinity is outside every bound
+        if not (s.min(initial=0.0) >= -half_pi and s.max(initial=0.0) <= half_pi):
             raise ValueError("sigma_norm outside [-pi/2, +pi/2]")
-        if not (np.all(np.isfinite(d)) and np.all(d >= 0.0) and np.all(d <= np.pi + 1e-12)):
+        if not (d.min(initial=0.0) >= 0.0 and d.max(initial=0.0) <= np.pi + 1e-12):
             raise ValueError("d_norm outside [0, pi]")
 
 
@@ -75,7 +77,7 @@ def rotate_blockwise(v: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
     """
     v = _even_rows(v)
     theta = np.asarray(theta, dtype=float)
-    return _rotations(v, [theta], 1)[..., 0, :]
+    return _rotations(v, theta[..., None], 1)[..., 0, :]
 
 
 def _even_rows(v: np.ndarray) -> np.ndarray:
@@ -90,29 +92,31 @@ def _even_rows(v: np.ndarray) -> np.ndarray:
 _ROTATION_CHUNK_ROWS = 1024
 
 
-def _rotations(v: np.ndarray, angles: list[np.ndarray], blocks: int) -> np.ndarray:
-    """R(theta) v for each angle, as blocks 0..len(angles)-1 of a
-    (..., ``blocks``, M) array; any further blocks are left for the caller
-    to fill.
+def _rotations(v: np.ndarray, theta: np.ndarray, blocks: int) -> np.ndarray:
+    """R(theta[..., b]) v for each of the k angles on the last axis of
+    ``theta``, as blocks 0..k-1 of a (..., ``blocks``, M) array; any
+    further blocks are left for the caller to fill.
 
     Per pair the even output is cos*even - sin*odd and the odd one
     sin*even + cos*odd. They are evaluated as cos*v + sin*w with
     w = (-odd, even) per pair: negation and commuted addition are exact,
-    so every output has the bits of the two-product form. The cos and sin
-    factors are repeated along M (the repeated cosines become the output),
-    so that every product is a contiguous pass over all blocks at once.
-    The products run over chunks of rows, which changes no bit of an
-    elementwise result."""
-    m = v.shape[-1]
-    lead = np.broadcast_shapes(v.shape[:-1], *(theta.shape for theta in angles))
-    k = len(angles)
-    cos = np.empty(lead + (blocks, 1))
-    sin = np.empty(lead + (k, 1))
-    for b, theta in enumerate(angles):
-        cos[..., b, 0] = np.cos(theta)
-        sin[..., b, 0] = np.sin(theta)
-    out = np.repeat(cos, m, axis=-1)
-    rows = np.broadcast_to(v, lead + (m,)).reshape(-1, 1, m)
+    so every output has the bits of the two-product form. The cosines and
+    sines of all k angles are each one call over the stacked angles, with
+    the bits of one call per angle (numpy's elementwise functions do not
+    depend on array position). They are repeated along M (the repeated
+    cosines become the output), so that every product is a contiguous pass
+    over all blocks at once. The products run over chunks of rows, which
+    changes no bit of an elementwise result."""
+    m, k = v.shape[-1], theta.shape[-1]
+    lead = np.broadcast(v[..., 0], theta[..., 0]).shape
+    out = np.empty(lead + (blocks, m))
+    out[..., :k, :] = np.cos(theta)[..., None]
+    sin = np.sin(theta)
+    if v.shape[:-1] != lead:
+        v = np.broadcast_to(v, lead + (m,))
+    if sin.shape[:-1] != lead:
+        sin = np.broadcast_to(sin, lead + (k,))
+    rows = v.reshape(-1, 1, m)
     rotated = out.reshape(-1, blocks, m)[:, :k]
     sin = sin.reshape(-1, k, 1)
     for start in range(0, rows.shape[0], _ROTATION_CHUNK_ROWS):
@@ -122,7 +126,7 @@ def _rotations(v: np.ndarray, angles: list[np.ndarray], blocks: int) -> np.ndarr
         w = np.empty_like(r)
         np.negative(r[..., 1::2], out=w[..., 0::2])
         w[..., 1::2] = r[..., 0::2]
-        sin_w = np.repeat(sin[chunk], m, axis=-1)
+        sin_w = sin[chunk].repeat(m, axis=-1)
         np.multiply(sin_w, w, out=sin_w)
         np.add(o, sin_w, out=o)
     return out
@@ -148,7 +152,7 @@ def normalize_geo_batch(
     at ``d_scale_km``, which may vary per entry.
     """
     scale = np.asarray(d_scale_km, dtype=float)
-    if not np.all(scale > 0):
+    if not scale.min(initial=math.inf) > 0:
         raise ValueError("d_scale_km must be positive")
     d_norm = np.pi * np.minimum(np.asarray(d_km, dtype=float) / scale, 1.0)
     return NormalizedGeo(np.asarray(sigma_rad, dtype=float) / 2.0, d_norm)
@@ -195,9 +199,13 @@ def build_geo_vector(
         ATTR_DIST_FWD: (beta, d),
         ATTR_DIST_REV: (-beta, d),
     }
-    angles = [scale * x for scale, x in (scaled[a] for a in ALL_ATTRIBUTES if a in attributes)]
-    out = _rotations(r2, angles, max(len(angles), 2))
-    if len(angles) == 1:
+    active = [scaled[a] for a in ALL_ATTRIBUTES if a in attributes]
+    # one column of angles per active attribute
+    angles = np.empty(np.broadcast(sigma, d).shape + (len(active),))
+    for col, (scale, x) in enumerate(active):
+        np.multiply(scale, x, out=angles[..., col])
+    out = _rotations(r2, angles, max(len(active), 2))
+    if len(active) == 1:
         out[..., 1, :] = r2
     return out.reshape(out.shape[:-2] + (-1,))
 

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -79,14 +78,24 @@ class PipelineError(RuntimeError):
     """A pipeline stage failed; the message is prefixed with the stage name."""
 
 
-@contextmanager
-def _stage(name: str):
-    try:
-        yield
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError(f"{name}: {exc}") from exc
+class _stage:
+    """``with _stage(name):`` re-raises any exception but a PipelineError
+    as a PipelineError whose message starts with the stage name. A class,
+    not a generator, since every level of every replay batch enters one or
+    two stages."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, traceback) -> bool:
+        if isinstance(exc, Exception) and not isinstance(exc, PipelineError):
+            raise PipelineError(f"{self.name}: {exc}") from exc
+        return False
 
 
 @dataclass(frozen=True)
@@ -133,7 +142,7 @@ def _columns(
     if not np.isfinite(data).all():
         row = int(np.argmin(np.isfinite(data).all(axis=1)))
         raise ValueError(f"non-finite embedding for POI {pois[row].id!r}")
-    ids, lat, lon, _ = _poi_columns(pois)
+    ids, lat, lon = _poi_columns(pois)
     _check_unique_ids(ids)
     return ids, data, lat, lon
 
@@ -189,7 +198,7 @@ def _level_input(
     x, frames = parent.residuals, None
     if level in cfg.geo_levels:
         with _stage(f"layer-{level} geo enhancement"):
-            cells = np.column_stack(parent.labels)
+            cells = np.array(parent.labels).T
             if artifact is None:
                 frames, d_km, sigma, scale = _cluster_frames(cells, lat, lon, cfg.d_scale_km)
             else:
@@ -224,8 +233,8 @@ def _cluster_level(
         residuals = None
         if level < 3:
             # only the cosine projection reads the centroid norms
-            norms = layer.sq_norms[labels] if cfg.metric == METRIC_COSINE else None
-            residuals = next_residuals(x, layer.centroids[labels], cfg.metric, norms)
+            norms = layer.sq_norms.take(labels) if layer.metric == METRIC_COSINE else None
+            residuals = next_residuals(x, layer.centroids.take(labels, axis=0), layer.metric, norms)
     return _Walked(parent.labels + (labels,), parent.layers + (layer,), parent.frames + (frames,), residuals)
 
 
@@ -264,7 +273,7 @@ def _walk_layers(
             parent.residuals = None
         walked = {key: _cluster_level(*inputs.pop(key), level, artifact) for key in list(inputs)}
         states = [walked[key] for key in keys]
-    return [(np.column_stack(state.labels), state.layers, state.frames[1:]) for state in states]
+    return [(np.array(state.labels).T, state.layers, state.frames[1:]) for state in states]
 
 
 def _id_order(ids: Sequence[str]) -> np.ndarray:
@@ -301,11 +310,12 @@ def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> 
     [(codes, layers, (geo_second, geo_third))] = _walk_layers(data, lat, lon, [cfg])
     by_id = _id_order(ids)
     with _stage("sid assembly"):
-        # index before report: the other order left freed heap pages that
-        # the next replay batches fault back in, about 56 per 40 batches.
-        # The index's ids are already sorted, so its rows are codes[by_id]
-        # and the report reuses its grouping.
+        # index and its Sid objects before report: the other order left
+        # freed heap pages that the next replay batches fault back in, about
+        # 56 per 40 batches. The index's ids are already sorted, so its rows
+        # are codes[by_id] and the report reuses its grouping.
         index = SidIndex([ids[i] for i in by_id.tolist()], codes[by_id])
+        assignments = index.assignments
         report = _report(codes, lat, lon, by_id, cfg, index.row_groups)
         artifact = CodebookArtifact(
             config=cfg,
@@ -316,7 +326,7 @@ def run(pois: Sequence[PoiRecord], embeddings: np.ndarray, cfg: TrainConfig) -> 
         )
     return RunResult(
         artifact=artifact,
-        assignments=index.assignments,
+        assignments=assignments,
         report=report,
         wall_time_s=time.perf_counter() - t0,
         config=cfg,

@@ -100,7 +100,8 @@ class CodebookLayer:
     sentinel that never wins a cosine assignment.
 
     ``sq_norms`` (each centroid's squared norm, ``_row_sq_norms`` of the
-    centroids) and ``norms`` (their square roots) are derived once from
+    centroids), ``norms`` (their square roots) and ``zeros`` (the mask of
+    zero-norm centroids, None when there is none) are derived once from
     the frozen centroids, read-only, and reused by every assignment and
     residual step against the layer.
     """
@@ -109,6 +110,7 @@ class CodebookLayer:
     metric: str = METRIC_COSINE
     sq_norms: np.ndarray = field(init=False, repr=False)
     norms: np.ndarray = field(init=False, repr=False)
+    zeros: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.centroids, dtype=float)
@@ -123,6 +125,7 @@ class CodebookLayer:
         for name, value in (("centroids", arr), ("sq_norms", sq_norms), ("norms", norms)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "zeros", None if sq_norms.all() else sq_norms == 0.0)
 
     @property
     def k(self) -> int:
@@ -245,7 +248,7 @@ def _row_sq_norms(x: np.ndarray) -> np.ndarray:
     out = np.empty(x.shape[0])
     for start in range(0, x.shape[0], _NORM_CHUNK_ROWS):
         block = x[start : start + _NORM_CHUNK_ROWS]
-        np.sum(block * block, axis=1, out=out[start : start + _NORM_CHUNK_ROWS])
+        np.add.reduce(block * block, axis=1, out=out[start : start + _NORM_CHUNK_ROWS])
     return out
 
 
@@ -287,6 +290,11 @@ def _nearest(
     Squared Euclidean distance is ``(-2g + ||x||^2) + ||c||^2`` with the
     argmin. A product of two positive roots never underflows to 0, so the
     only zero denominators are those of the rows and centroids overwritten.
+    The outer product of the roots is taken with ``np.einsum("i,j->ij")``:
+    each entry is one rounded product, the bits of ``np.multiply.outer``,
+    at about half its cost per block. The layer's centroid norms and
+    zero-centroid mask are cached on the layer; the zero-row check runs
+    once per call.
 
     The rows are walked in blocks (:func:`_blocks`), so no (N, K) matrix
     exists and a block's scores stay in cache between the product and the
@@ -309,10 +317,9 @@ def _nearest(
     if cosine:
         if roots is None:
             roots = np.sqrt(sq_norms)
-        if np.any(sq_norms == 0.0):
+        if not sq_norms.all():
             zero_x = sq_norms == 0.0
-        if np.any(layer.sq_norms == 0.0):
-            zero_c = layer.sq_norms == 0.0
+        zero_c = layer.zeros
     labels = np.zeros(n, dtype=np.intp)
     dists = None if at is None else np.empty(n)
     for lo, hi in _blocks(n, c.shape[0]):
@@ -321,7 +328,7 @@ def _nearest(
         s = (c @ rows.T)[0, : hi - lo, None] if single else (rows @ c.T)[: hi - lo]
         if cosine:
             with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(s, np.multiply.outer(roots[lo:hi], layer.norms), out=s)
+                np.divide(s, np.einsum("i,j->ij", roots[lo:hi], layer.norms), out=s)
             if zero_x is not None:
                 s[zero_x[lo:hi]] = 0.0
             if zero_c is not None:
@@ -331,7 +338,7 @@ def _nearest(
             np.add(s, sq_norms[lo:hi, None], out=s)
             np.add(s, layer.sq_norms, out=s)
         if not single:  # one centroid labels every row 0
-            (np.argmax if cosine else np.argmin)(s, axis=1, out=labels[lo:hi])
+            (s.argmax if cosine else s.argmin)(axis=1, out=labels[lo:hi])
             if zero_x is not None:
                 labels[lo:hi][zero_x[lo:hi]] = 0
         if dists is not None:
@@ -351,7 +358,7 @@ def assign(r: np.ndarray, layer: CodebookLayer) -> int | np.ndarray:
     Returns labels only, from the layer's cached centroid norms."""
     r = np.asarray(r, dtype=float)
     single = r.ndim == 1
-    rows = np.atleast_2d(r)
+    rows = r if r.ndim == 2 else np.atleast_2d(r)
     if rows.shape[1] != layer.dim:
         raise ValueError(f"residual dimension {rows.shape[1]} != layer dimension {layer.dim}")
     labels, _ = _nearest(rows, layer, _row_sq_norms(rows))
@@ -378,7 +385,7 @@ def _project(r: np.ndarray, c: np.ndarray, cc: np.ndarray) -> np.ndarray:
     """r - (<r,c>/cc) c along the last axis, given ``cc = ||c||^2 > 0``
     per vector, evaluated in one scratch buffer."""
     buf = np.multiply(r, c)
-    coef = np.sum(buf, axis=-1, keepdims=True)
+    coef = buf.sum(axis=-1, keepdims=True)
     coef /= np.asarray(cc)[..., None]
     np.multiply(coef, c, out=buf)
     return np.subtract(r, buf, out=buf)
@@ -621,9 +628,10 @@ def next_residuals(
         return data - assigned
     if sq_norms is None:
         sq_norms = np.sum(assigned * assigned, axis=-1)
-    live = sq_norms > 0.0
-    if np.all(live):
+    # one pass: a NaN minimum, like a zero one, takes the masked path
+    if sq_norms.min(initial=math.inf) > 0.0:
         return _project(data, assigned, sq_norms)
+    live = sq_norms > 0.0
     residuals = data.copy()
     if np.any(live):
         residuals[live] = _project(data[live], assigned[live], sq_norms[live])

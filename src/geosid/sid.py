@@ -8,8 +8,8 @@ All orderings tie-break on the POI id so results are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from .geo import GeoPoint, haversine_km
 
 __all__ = [
+    "CodeKeys",
     "EmptySidGroupError",
     "Sid",
     "SidIndex",
@@ -89,13 +90,17 @@ def assemble(j1: int, j2: int, j3: int, capacities: tuple[int, int, int]) -> Sid
     return Sid(j1, j2, j3)
 
 
-def check_codes(codes: np.ndarray, capacities: tuple[int, int, int]) -> None:
+def check_codes(
+    codes: np.ndarray, capacities: tuple[int, int, int], ids: Sequence[str] | None = None
+) -> None:
     """Columnar :func:`assemble` check over an (N, 3) code array: raises the
-    error ``assemble`` would raise for the first offending row."""
+    error ``assemble`` would raise for the first offending row, prefixed
+    with ``POI 'id'`` when ``ids`` names the rows."""
     bad = (codes < 0) | (codes >= np.asarray(capacities))
-    if np.any(bad):
+    if bad.any():
         row, col = divmod(int(np.argmax(bad)), 3)
-        raise _out_of_range(_CODE_NAMES[col], int(codes[row, col]), capacities[col])
+        error = _out_of_range(_CODE_NAMES[col], int(codes[row, col]), capacities[col])
+        raise error if ids is None else ValueError(f"POI {ids[row]!r} {error}")
 
 
 def group_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,6 +122,41 @@ def group_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ranked[starts], groups, order
 
 
+class CodeKeys:
+    """Row lookup in an (R, depth) array of distinct integer code rows in
+    ascending lexicographic order, by one binary search over packed keys.
+
+    A row packs to ``sum(digit * weight)``, one mixed-radix digit per
+    column, so keys sort as the rows do. Each digit ranges from -1 to one
+    past its column's largest stored code: a query code outside that range
+    is clipped to its end, so it packs to a key no stored row has, and a
+    key that would not fit an int64 is kept as a Python int.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        clip = [int(top) + 1 for top in rows.max(axis=0, initial=-1)]
+        radix = [top + 2 for top in clip]
+        weights = [math.prod(radix[col + 1 :]) for col in range(len(radix))]
+        dtype = np.int64 if math.prod(radix) <= np.iinfo(np.int64).max else object
+        self._clip = np.array(clip, dtype=dtype)
+        self._weights = np.array(weights, dtype=dtype)
+        self._keys = self._pack(rows)
+
+    def _pack(self, codes: np.ndarray) -> np.ndarray:
+        digits = np.maximum(np.minimum(codes, self._clip), -1).astype(self._weights.dtype, copy=False)
+        return digits @ self._weights
+
+    def find(self, codes: np.ndarray) -> np.ndarray:
+        """The position of each row of ``codes`` among the stored rows, -1
+        where there is none."""
+        keys = self._pack(codes)
+        if self._keys.size == 0:
+            return np.full(keys.shape, -1)
+        slots = self._keys.searchsorted(keys)
+        slots[self._keys.take(slots, mode="clip") != keys] = -1
+        return slots
+
+
 class SidIndex:
     """Immutable two-way view of a POI -> SID assignment, held as columns.
 
@@ -124,14 +164,22 @@ class SidIndex:
     read-only (N, 3) int64 triples; ``row_groups`` gives each row the
     position of its triple among the distinct triples in ascending order
     (the groups of ``group_codes(codes)``), also read-only. Every distinct
-    triple has one shared :class:`Sid`, which all of its POIs map to, so
-    an index builds one ``Sid`` per triple, not one per POI. Groups hold
-    POIs by triple; member lists are sorted by POI id.
+    triple has one shared :class:`Sid`, which all of its POIs map to. Groups
+    hold POIs by triple; member lists are sorted by POI id.
 
     Build it from a mapping, ``SidIndex({poi_id: sid})``, or from columns,
     ``SidIndex(ids, codes)``: POI ids (non-empty strings) in any order and
     an (N, 3) integer array in the same order. The index holds bare
-    triples, so a mapped ``Sid`` with a layer-4 ordinal is rejected.
+    triples, so a mapped ``Sid`` with a layer-4 ordinal is rejected, and a
+    negative code is rejected naming its POI and column.
+
+    Building the index makes no ``Sid``: replay reads only codes. A
+    triple's shared ``Sid`` is built the first time a caller asks for it
+    and then cached, and the id -> ``Sid`` dict is built on the first
+    ``sid_of``, ``in`` or ``assignments``. A batch's triples are found by
+    :class:`CodeKeys`, one binary search over packed keys. Building late
+    changes no result: every accessor returns the same ``Sid`` values, one
+    shared object per triple.
     """
 
     def __init__(
@@ -153,37 +201,54 @@ class SidIndex:
         if codes.shape != (n, 3) or not np.issubdtype(codes.dtype, np.integer):
             raise ValueError(f"codes must be an ({n}, 3) integer array, got {codes.dtype} {codes.shape}")
         if np.any(codes < 0):
-            raise ValueError("SID codes must be non-negative")
+            row, col = divmod(int(np.argmax(codes < 0)), 3)
+            raise ValueError(f"POI {ids[row]!r} {_CODE_NAMES[col]}={codes[row, col]} must be non-negative")
         order = sorted(range(n), key=ids.__getitem__)
         self.ids = tuple([ids[i] for i in order])
-        self.codes = codes.astype(np.int64, copy=False)[order]
-        self.codes.flags.writeable = False
-        triples, rows_group, self._members = group_codes(self.codes)
-        columns = triples.T.tolist()
-        self._sids = np.empty(len(triples), dtype=object)
-        self._sids[:] = list(map(Sid, *columns))
-        self._slot = dict(zip(zip(*columns), range(len(triples))))
-        self._by_poi = dict(zip(self.ids, self._sids[rows_group].tolist()))
-        if len(self._by_poi) != n:
+        if len(set(self.ids)) != n:
             dup = next(a for a, b in zip(self.ids, self.ids[1:]) if a == b)
             raise ValueError(f"duplicate POI id {dup!r}")
+        self.codes = codes.astype(np.int64, copy=False)[order]
+        self.codes.flags.writeable = False
+        self._triples, rows_group, self._members = group_codes(self.codes)
+        self._lookup = CodeKeys(self._triples)
+        self._sids = np.empty(len(self._triples), dtype=object)
+        self._built = np.zeros(len(self._triples), dtype=bool)
+        self._by_poi: dict[str, Sid] | None = None
         self._bounds = np.concatenate(([0], np.cumsum(np.bincount(rows_group))))
         rows_group.flags.writeable = False
         self.row_groups = rows_group
 
+    def _shared(self, slots: np.ndarray) -> np.ndarray:
+        """The shared ``Sid`` of each of ``slots`` (no -1), building and
+        caching those not yet built."""
+        built = self._built.take(slots)
+        if not built.all():
+            new = np.unique(slots[~built])
+            self._sids[new] = list(map(Sid, *self._triples[new].T.tolist()))
+            self._built[new] = True
+        return self._sids.take(slots)
+
+    def _index(self) -> dict[str, Sid]:
+        if self._by_poi is None:
+            self._by_poi = dict(zip(self.ids, self._shared(self.row_groups).tolist()))
+        return self._by_poi
+
     def sid_of(self, poi_id: str) -> Sid:
-        return self._by_poi[poi_id]
+        return self._index()[poi_id]
 
     def sids_for(self, codes: np.ndarray) -> list[Sid]:
         """The shared ``Sid`` of each row of an (N, 3) code array; rows
         whose triple the index lacks get a new ``Sid``."""
-        columns = codes.T.tolist()
-        slots = np.fromiter(
-            map(self._slot.get, zip(*columns), repeat(-1)), dtype=np.int64, count=codes.shape[0]
-        )
-        out = self._sids[slots].tolist()
-        for row in np.flatnonzero(slots < 0).tolist():
-            out[row] = Sid(columns[0][row], columns[1][row], columns[2][row])
+        slots = self._lookup.find(codes)
+        known = slots >= 0
+        if known.all():
+            return self._shared(slots).tolist()
+        out = np.empty(len(slots), dtype=object)
+        out[known] = self._shared(slots[known])
+        out = out.tolist()
+        for row in np.flatnonzero(~known).tolist():
+            out[row] = Sid(*codes[row].tolist())
         return out
 
     def _group_members(self, slot: int) -> tuple[str, ...]:
@@ -192,25 +257,27 @@ class SidIndex:
 
     def group(self, sid: Sid) -> tuple[str, ...]:
         """POI ids sharing the triple of ``sid``, sorted by id."""
-        slot = self._slot.get(sid.key)
-        if slot is None:
-            raise EmptySidGroupError(f"no POIs carry SID {sid.key}")
+        key = sid.key
+        # an object array: a Sid's code need not fit an int64
+        slot = self._lookup.find(np.array([key], dtype=object))[0]
+        if slot < 0:
+            raise EmptySidGroupError(f"no POIs carry SID {key}")
         return self._group_members(slot)
 
     def groups(self) -> Iterable[tuple[tuple[int, int, int], tuple[str, ...]]]:
         """All (triple, members) pairs in ascending triple order."""
-        return [(sid.key, self._group_members(slot)) for slot, sid in enumerate(self._sids)]
+        return [(tuple(key), self._group_members(slot)) for slot, key in enumerate(self._triples.tolist())]
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __contains__(self, poi_id: str) -> bool:
-        return poi_id in self._by_poi
+        return poi_id in self._index()
 
     @property
     def assignments(self) -> dict[str, Sid]:
         """POI id -> shared ``Sid``, in ascending id order."""
-        return dict(self._by_poi)
+        return dict(self._index())
 
 
 def hard_code_layer4(index: SidIndex) -> dict[str, Sid]:

@@ -591,7 +591,7 @@ class TestCodebookArtifact:
     def test_out_of_range_sid_codes_rejected(self):
         tiny = _tiny_artifact()
         index = SidIndex(["a", "b"], np.full((2, 3), 7))
-        with pytest.raises(ValueError, match=r"^j1=7 out of range for layer capacity 2$"):
+        with pytest.raises(ValueError, match=r"^POI 'a' j1=7 out of range for layer capacity 2$"):
             CodebookArtifact(tiny.config, tiny.layers, None, tiny.geo_third, index)
 
     @pytest.mark.parametrize(
@@ -606,9 +606,9 @@ class TestCodebookArtifact:
             (_set("geo_third codes", 1, [0, 5]), r"inconsistent artifact \(geo frame cell \(0, 5\) outside"),
             (_geo_second_row, r"geo_second row 0 cell \(0,\): invalid latitude"),
             (_set("layer 2 centroids", (0, 1), np.nan), r"layer 2: centroids contain non-finite values"),
-            (_set("SID codes", (1, 2), -1), r"bad SID index \(SID codes must be non-negative\)"),
-            (_set("SID codes", slice(None), 7), r"inconsistent artifact \(j1=7 out of range for layer capacity 2\)"),
-            (_set("SID codes", (0, 2), 2), r"inconsistent artifact \(j3=2 out of range for layer capacity 2\)"),
+            (_set("SID codes", (1, 2), -1), r"bad SID index \(POI 'b' j3=-1 must be non-negative\)"),
+            (_set("SID codes", slice(None), 7), r"inconsistent artifact \(POI 'a' j1=7 out of range for layer capacity 2\)"),
+            (_set("SID codes", (0, 2), 2), r"inconsistent artifact \(POI 'a' j3=2 out of range for layer capacity 2\)"),
             (_ids([], []), r"bad SID index \(SidIndex needs at least one assignment\)"),
             (_ids(["a", "a"]), r"bad SID index \(duplicate POI id 'a'\)"),
             (_ids(["a", 0]), r"bad SID index \(POI id 1 must be a non-empty string, got 0\)"),

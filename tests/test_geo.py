@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geosid.geo import (
     EARTH_RADIUS_KM,
@@ -12,6 +12,7 @@ from geosid.geo import (
     GeoPoint,
     LocalPolar,
     azimuth_rad,
+    centre_trig,
     geo_centroid,
     group_centroids,
     haversine_km,
@@ -215,6 +216,85 @@ class TestLocalPolarKernel:
             for dlat, dlon in offsets
         ]
         _assert_kernel_matches_scalar(pairs)
+
+
+# numpy ufuncs whose result geosid computes once and gathers per row, or
+# computes over stacked or longer arrays than the rows it keeps: a frame
+# table's per-cell centre trigonometry, the rotary blocks' stacked angles,
+# local_polar over every row of a replay batch, and the synthetic corpus'
+# disc offsets. Each maps one element to its bits whatever the array around
+# it; arguments span the domains the program feeds them and beyond.
+_POSITION_FREE_UFUNCS = {
+    "radians": (np.radians, [(-400.0, 400.0)]),
+    "degrees": (np.degrees, [(-10.0, 10.0)]),
+    "cos": (np.cos, [(-1e4, 1e4)]),
+    "sin": (np.sin, [(-1e4, 1e4)]),
+    "arcsin": (np.arcsin, [(-1.0, 1.0)]),
+    "sqrt": (np.sqrt, [(0.0, 1e6)]),
+    "arctan2": (np.arctan2, [(-2.0, 2.0), (-2.0, 2.0)]),
+    "divide": (np.divide, [(-1e3, 1e3), (0.5, 1e3)]),
+    "multiply": (np.multiply, [(-1e3, 1e3), (-1e3, 1e3)]),
+    "add": (np.add, [(-1e3, 1e3), (-1e3, 1e3)]),
+    "subtract": (np.subtract, [(-400.0, 400.0), (-400.0, 400.0)]),
+    "square": (np.square, [(-2.0, 2.0)]),
+}
+_SPECIAL = (0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 1.0, -1.0, math.pi / 2, -math.pi, math.pi, 90.0, -90.0, 180.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_POSITION_FREE_UFUNCS)),
+    n=st.integers(1, 2500),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_ufunc_bits_do_not_depend_on_array_position(name, n, seed, data):
+    """In place, on a gathered copy, and at another offset and length of a
+    buffer that starts at another alignment, every element gets the bits it
+    gets in the whole array: the precondition for caching a cell's
+    trigonometry, stacking angles into one call and computing rows that are
+    later dropped (1 to 2,500 elements covers every SIMD tail)."""
+    ufunc, domains = _POSITION_FREE_UFUNCS[name]
+    rng = np.random.default_rng(seed)
+    args = []
+    for low, high in domains:
+        x = rng.uniform(low, high, n)
+        specials = [v for v in _SPECIAL if low <= v <= high]
+        x[rng.integers(0, n, n // 7)] = rng.choice(specials, n // 7)
+        args.append(x)
+    full = ufunc(*args)
+    bits = full.view(np.uint64)
+
+    rows = rng.integers(0, n, data.draw(st.integers(1, 2500), label="gathered"))
+    assert np.array_equal(ufunc(*(x[rows] for x in args)).view(np.uint64), bits[rows])
+
+    start = data.draw(st.integers(0, n - 1), label="start")
+    stop = data.draw(st.integers(start + 1, n), label="stop")
+    pad = data.draw(st.integers(0, 7), label="pad")
+    shifted = []
+    for x in args:
+        buffer = np.empty(stop - start + pad)
+        buffer[pad:] = x[start:stop]
+        shifted.append(buffer[pad:])
+    assert np.array_equal(ufunc(*shifted).view(np.uint64), bits[start:stop])
+
+    in_place = args[0].copy()
+    ufunc(in_place, *args[1:], out=in_place)
+    assert np.array_equal(in_place.view(np.uint64), bits)
+
+
+class TestCentreTrig:
+    @given(st.lists(st.tuples(lat_st, lon_st, lat_st, lon_st), min_size=1, max_size=40), st.data())
+    def test_gathered_trig_gives_the_bits_of_local_polar(self, rows, data):
+        # a frame table computes each centre's trigonometry once and passes
+        # it gathered per row
+        lat0, lon0, lat, lon = (np.array(col) for col in zip(*rows))
+        cells = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=60))
+        cos0, sin0 = centre_trig(lat0)
+        got = local_polar(lat0[cells], lon0[cells], lat[cells], lon[cells], (cos0[cells], sin0[cells]))
+        want = local_polar(lat0[cells], lon0[cells], lat[cells], lon[cells])
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 class TestGroupCentroids:

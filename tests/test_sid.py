@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from geosid.geo import GeoPoint, haversine_km
 from geosid.sid import (
+    CodeKeys,
     EmptySidGroupError,
     Sid,
     SidIndex,
@@ -98,6 +99,35 @@ class TestGroupCodes:
         assert np.array_equal(order, np.argsort(groups, kind="stable"))
 
 
+class TestCodeKeys:
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda depth: st.tuples(
+                st.lists(st.tuples(*[st.integers(0, 6)] * depth), max_size=12, unique=True),
+                st.lists(st.tuples(*[st.integers(-3, 10)] * depth), max_size=20),
+            )
+        )
+    )
+    def test_find_matches_a_dict(self, case):
+        stored, queries = case
+        depth = len((stored + queries + [(0,)])[0])
+        rows = np.array(sorted(stored), dtype=np.int64).reshape(len(stored), depth)
+        codes = np.array(queries, dtype=np.int64).reshape(len(queries), depth)
+        position = {row: i for i, row in enumerate(sorted(stored))}
+        assert CodeKeys(rows).find(codes).tolist() == [position.get(q, -1) for q in queries]
+
+    def test_codes_past_int64_keys(self):
+        # keys that would overflow an int64 are Python ints
+        big = np.iinfo(np.int64).max
+        rows = np.array([[0, 0, 5], [0, 2**40, 0], [2**40, 0, 1]], dtype=np.int64)
+        queries = np.array([[2**40, 0, 1], [0, 2**40, 0], [0, 0, 5], [2**40, 0, 2], [big, big, big], [-1, 0, 5]])
+        assert CodeKeys(rows).find(queries).tolist() == [2, 1, 0, -1, -1, -1]
+
+    def test_empty_table_finds_nothing(self):
+        keys = CodeKeys(np.empty((0, 2), dtype=np.int64))
+        assert keys.find(np.array([[0, 0], [1, 2]])).tolist() == [-1, -1]
+
+
 def _index(mapping):
     return SidIndex({pid: Sid(*triple) for pid, triple in mapping.items()})
 
@@ -169,6 +199,20 @@ class TestSidIndex:
         assert got[0] is index.sid_of("b") and got[2] is index.sid_of("a")
         assert all(type(v) is int for sid in got for v in (sid.j1, sid.j2, sid.j3))
         assert index.sids_for(np.empty((0, 3), dtype=np.int64)) == []
+
+    def test_sids_built_on_request_and_shared(self):
+        index = SidIndex(["c", "a", "b"], np.array([[1, 0, 0], [0, 2, 0], [1, 0, 0]]))
+        first = index.sids_for(np.array([[1, 0, 0]]))[0]
+        assert first is index.sid_of("b") is index.sid_of("c")
+        assert index.group(Sid(0, 2, 0)) == ("a",)
+        assert index.assignments == {"a": Sid(0, 2, 0), "b": Sid(1, 0, 0), "c": Sid(1, 0, 0)}
+
+    def test_codes_past_int64_keys(self):
+        index = _index({"a": (2**62, 1, 1), "b": (0, 2**40, 3)})
+        assert index.group(Sid(2**62, 1, 1)) == ("a",)
+        assert index.sids_for(np.array([[0, 2**40, 3]]))[0] is index.sid_of("b")
+        with pytest.raises(EmptySidGroupError):
+            index.group(Sid(2**70, 1, 1))
 
     @pytest.mark.parametrize(
         "ids, codes, match",

@@ -9,10 +9,14 @@ blocks and end in a folded tail. The digest covers, per case, the saved
 codebook bytes, the report and the replayed SIDs.
 
 Two builds print the same digest exactly when they produce the same bits
-on these cases, so the digest proves a "same bits" refactor, and two runs
+on these cases, so the digest proves a "same bits" refactor. Two runs
 under different BLAS thread counts (``OPENBLAS_NUM_THREADS=1``) check that
-the thread count changes no bit. A digest is only comparable on one
-machine and numpy/BLAS build: BLAS kernels differ by CPU.
+the thread count changes no bit, and two under different OpenBLAS kernels
+(``OPENBLAS_CORETYPE=Prescott``) that the BLAS kernel changes none.
+numpy's own SIMD dispatch does move bits: on a CPU without AVX-512,
+``arcsin`` and ``arctan2`` in ``geo.local_polar`` round differently. So a
+digest is comparable across machines with the same numpy build and the
+same SIMD extensions, not across all CPUs.
 """
 
 from __future__ import annotations
